@@ -62,20 +62,25 @@ serve::TrafficSpec bench_traffic(std::size_t requests) {
   return spec;
 }
 
+/// Per-priority counters from the live run's attached registry: the
+/// serve.scheduler.* completion counter and the canonical summary row of
+/// each latency histogram (count/min/max/p50/p90/p99).
 void report_priority_latency(benchmark::State& state,
-                             const serve::Scheduler& scheduler) {
+                             const obs::MetricsSnapshot& metrics) {
   for (std::size_t p = 0; p < serve::kPriorityCount; ++p) {
     const auto priority = static_cast<serve::Priority>(p);
-    const serve::PriorityTelemetry t = scheduler.telemetry(priority);
+    obs::MetricLabels labels;
+    labels.priority = static_cast<std::int32_t>(p);
+    const obs::MetricSample* served =
+        metrics.find("serve.scheduler.completed", labels);
+    if (served == nullptr) continue;  // no traffic in this class
     const std::string prefix = serve::to_string(priority);
-    state.counters[prefix + "_served"] +=
-        static_cast<double>(t.completed);
-    // One canonical summary row per histogram (the same count/min/max/
-    // p50/p90/p99 schema the metrics registry and telemetry CSVs export).
-    const std::pair<const char*, util::LatencySummary> series[] = {
-        {"queue", t.queue_wait.summary()},
-        {"service", t.service_time.summary()}};
-    for (const auto& [tag, summary] : series) {
+    state.counters[prefix + "_served"] += served->value;
+    const std::pair<const char*, const char*> series[] = {
+        {"queue", "serve.scheduler.queue_wait_s"},
+        {"service", "serve.scheduler.service_time_s"}};
+    for (const auto& [tag, name] : series) {
+      const util::LatencySummary& summary = metrics.find(name, labels)->latency;
       const std::string base = prefix + "_" + std::string(tag) + "_";
       state.counters[base + "p50_ms"] = 1e3 * summary.p50;
       state.counters[base + "p90_ms"] = 1e3 * summary.p90;
@@ -104,6 +109,8 @@ void BM_ServeLoad(benchmark::State& state) {
     config.queue.stat_reserve = 64;
     config.workers = 0;  // hardware concurrency
     serve::Scheduler scheduler(service, config);
+    obs::MetricsRegistry metrics;
+    scheduler.attach({.metrics = &metrics});
     scheduler.start();
     for (const serve::Request& r : log) {
       benchmark::DoNotOptimize(scheduler.submit_wait(r));
@@ -111,11 +118,10 @@ void BM_ServeLoad(benchmark::State& state) {
     scheduler.drain_and_stop();
     completed += scheduler.completed();
     state.PauseTiming();
-    report_priority_latency(state, scheduler);
-    state.counters["queue_high_water"] =
-        static_cast<double>(scheduler.queue().high_water());
-    state.counters["rejected"] +=
-        static_cast<double>(scheduler.queue().rejected());
+    report_priority_latency(state, metrics.snapshot());
+    const serve::QueueStats queue = scheduler.queue_stats();
+    state.counters["queue_high_water"] = static_cast<double>(queue.high_water);
+    state.counters["rejected"] += static_cast<double>(queue.rejected_full);
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
@@ -179,11 +185,8 @@ void BM_ObsOverhead(benchmark::State& state) {
   serve::DiagnosticsService service(store, bench_service_config());
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
-  if (observed) {
-    service.set_trace(&trace);
-    service.set_metrics(&metrics);
-  }
   serve::Scheduler scheduler(service);
+  if (observed) scheduler.attach({.trace = &trace, .metrics = &metrics});
   std::size_t responses = 0;
   for (auto _ : state) {
     if (observed) trace.clear();  // clearing is part of the tracing cost
@@ -228,8 +231,6 @@ void BM_TelemetryFanout(benchmark::State& state) {
   serve::DiagnosticsService service(store, bench_service_config());
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
-  service.set_trace(&trace);
-  service.set_metrics(&metrics);
   serve::Scheduler scheduler(service);
 
   std::size_t responses = 0;
@@ -251,9 +252,9 @@ void BM_TelemetryFanout(benchmark::State& state) {
         while (sub->pop(frame)) benchmark::DoNotOptimize(frame.sequence);
       });
     }
-    scheduler.set_stream(&bus);
+    scheduler.attach({&trace, &metrics, &bus});
     const std::vector<serve::Response> out = scheduler.replay(log, 0);
-    scheduler.set_stream(nullptr);
+    scheduler.attach({});
     bus.close();
     for (std::thread& t : drains) t.join();
     responses += out.size();

@@ -84,6 +84,8 @@ int main() {
   // --- guarantee 2: live serving matches the replay -------------------------
   serve::CsvResultSink sink("diagnostics_responses.csv",
                             "diagnostics_telemetry.csv");
+  obs::MetricsRegistry metrics;  // live per-priority latency lands here
+  scheduler.attach({.metrics = &metrics});
   scheduler.start(&sink);
   std::size_t accepted = 0;
   for (const serve::Request& r : log) {
@@ -94,16 +96,22 @@ int main() {
   util::ConsoleTable latency({"class", "served", "queue p50 (ms)",
                               "queue p99 (ms)", "service p50 (ms)",
                               "service p99 (ms)"});
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
   for (std::size_t p = 0; p < serve::kPriorityCount; ++p) {
-    const serve::PriorityTelemetry t =
-        scheduler.telemetry(static_cast<serve::Priority>(p));
+    obs::MetricLabels labels;
+    labels.priority = static_cast<std::int32_t>(p);
+    const obs::MetricSample* queue =
+        snapshot.find("serve.scheduler.queue_wait_s", labels);
+    const obs::MetricSample* service_time =
+        snapshot.find("serve.scheduler.service_time_s", labels);
+    if (queue == nullptr || service_time == nullptr) continue;  // idle class
     latency.add_row(
         {serve::to_string(static_cast<serve::Priority>(p)),
-         util::format_fixed(static_cast<double>(t.completed), 0),
-         util::format_fixed(1e3 * t.queue_wait.percentile(0.50), 3),
-         util::format_fixed(1e3 * t.queue_wait.percentile(0.99), 3),
-         util::format_fixed(1e3 * t.service_time.percentile(0.50), 3),
-         util::format_fixed(1e3 * t.service_time.percentile(0.99), 3)});
+         util::format_fixed(queue->value, 0),
+         util::format_fixed(1e3 * queue->latency.p50, 3),
+         util::format_fixed(1e3 * queue->latency.p99, 3),
+         util::format_fixed(1e3 * service_time->latency.p50, 3),
+         util::format_fixed(1e3 * service_time->latency.p99, 3)});
   }
   std::cout << "Live service over " << sched_config.workers
             << " workers (accepted " << accepted << "/" << log.size()
@@ -134,7 +142,7 @@ int main() {
       "rejected explicitly -- never dropped silently (queue depth %zu, "
       "accepted %llu).\n",
       rejected, log.size(), overload.queue().depth(),
-      static_cast<unsigned long long>(overload.queue().accepted()));
+      static_cast<unsigned long long>(overload.queue_stats().accepted));
 
   // --- guarantee 4: graceful degradation under overload ---------------------
   // Shed watermarks turn sustained depth into *early* explicit rejection

@@ -1,8 +1,8 @@
 /// \file metrics.hpp
 /// The typed metrics registry: the one surface every layer's counters
 /// flow into, replacing the per-subsystem stats-struct sprawl
-/// (serve::QueueStats, PriorityTelemetry, MergeStats, FaultStats,
-/// quant::DriftDetector statistics) with named, labeled, typed metrics.
+/// (serve::QueueStats, MergeStats, FaultStats, quant::DriftDetector
+/// statistics) with named, labeled, typed metrics.
 ///
 /// Three metric types:
 /// - Counter: monotonically increasing u64 (atomic add from any thread).

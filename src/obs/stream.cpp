@@ -283,45 +283,35 @@ void TelemetryStream::publish(const TelemetryCapture& capture) {
   std::vector<TraceEvent> spans = capture.spans;
   std::sort(spans.begin(), spans.end(), trace_event_less);
   spans.erase(std::unique(spans.begin(), spans.end()), spans.end());
-  for (const TraceEvent& event : spans) {
-    TraceSpanPayload payload;
-    payload.tenant = capture.tenant;
-    payload.event = event;
-    bus_.publish(FrameType::kTraceSpan, span_topic(capture.tenant, event),
-                 encode(payload));
-  }
-  for (const MetricOp& op : capture.ops) {
-    MetricDeltaPayload payload;
-    payload.type = op.type;
-    payload.name = op.name;
-    payload.labels = op.labels;
-    payload.value = op.value;
-    bus_.publish(FrameType::kMetricDelta, metric_topic(op.name),
-                 encode(payload));
-  }
-  // Fold after publishing: the batch-era surfaces end bit-identical to the
-  // non-streaming path (spans re-record and dedup in sorted(); fold-marked
-  // ops apply exactly once -- non-fold ops were applied directly by their
-  // recorder, e.g. live-mode scheduler accounts).
-  if (trace_ != nullptr) {
-    for (const TraceEvent& event : spans) trace_->record(event);
-  }
-  if (metrics_ != nullptr) {
+  if (TelemetryBus* bus = targets_.bus; bus != nullptr) {
+    for (const TraceEvent& event : spans) {
+      TraceSpanPayload payload;
+      payload.tenant = capture.tenant;
+      payload.event = event;
+      bus->publish(FrameType::kTraceSpan, span_topic(capture.tenant, event),
+                   encode(payload));
+    }
     for (const MetricOp& op : capture.ops) {
-      if (op.fold) apply_op(*metrics_, op.type, op.name, op.labels, op.value);
+      MetricDeltaPayload payload;
+      payload.type = op.type;
+      payload.name = op.name;
+      payload.labels = op.labels;
+      payload.value = op.value;
+      bus->publish(FrameType::kMetricDelta, metric_topic(op.name),
+                   encode(payload));
     }
   }
-}
-
-void TelemetryStream::publish_span(std::int32_t tenant,
-                                   const TraceEvent& event) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TraceSpanPayload payload;
-  payload.tenant = tenant;
-  payload.event = event;
-  bus_.publish(FrameType::kTraceSpan, span_topic(tenant, event),
-               encode(payload));
-  if (trace_ != nullptr) trace_->record(event);
+  // Fold after publishing: spans re-record (duplicates collapse in
+  // sorted()) and every op applies exactly once, so the recorder and the
+  // registry end the same with or without a bus.
+  if (targets_.trace != nullptr) {
+    for (const TraceEvent& event : spans) targets_.trace->record(event);
+  }
+  if (targets_.metrics != nullptr) {
+    for (const MetricOp& op : capture.ops) {
+      apply_op(*targets_.metrics, op.type, op.name, op.labels, op.value);
+    }
+  }
 }
 
 // --- StreamSequencer --------------------------------------------------------

@@ -11,11 +11,15 @@
 ///   silent. close() is permanent: publish-after-close throws, subscribers
 ///   drain every accepted frame, then pop() returns false.
 /// - TelemetryCapture: one request's telemetry (spans + metric ops),
-///   recorded off to the side during execution.
-/// - TelemetryStream: publishes one capture as frames (trace topics per
-///   (tenant, channel), one metric topic per family) and *then* folds it
-///   into the batch-era TraceRecorder / MetricsRegistry, so everything
-///   PR 8 exports is unchanged by streaming.
+///   recorded off to the side during execution -- the only way the serve
+///   layer emits spans and metrics.
+/// - TelemetryTargets: where one run's telemetry goes (recorder, registry,
+///   bus; each optional). An empty TelemetryTargets is the off switch.
+/// - TelemetryStream: the one sink of a run. Publishes each capture as
+///   frames when a bus is attached (trace topics per (tenant, channel),
+///   one metric topic per family) and *then* folds it into the
+///   TraceRecorder / MetricsRegistry, so the batch exports are the same
+///   with or without a bus.
 /// - StreamSequencer: reorder buffer for parallel replay -- captures
 ///   deposit in completion order, publish in log order.
 /// - LiveAggregator: the canonical subscriber -- rebuilds a
@@ -200,16 +204,13 @@ class TelemetryBus {
 
 // --- capture / publish ------------------------------------------------------
 
-/// One deferred metric update. `fold` distinguishes ops the capture owner
-/// has NOT yet applied to the registry (service ops under capture mode;
-/// folded on publish) from ops already applied directly (scheduler
-/// live-mode accounts; streamed only).
+/// One deferred metric update, applied to the registry when its capture
+/// publishes.
 struct MetricOp {
   MetricType type = MetricType::kCounter;
   std::string name;
   MetricLabels labels;
   double value = 0.0;
-  bool fold = true;
 };
 
 /// One request's telemetry, recorded privately during execution so the
@@ -232,41 +233,48 @@ struct TelemetryCapture {
   void count(const std::string& name, const MetricLabels& labels,
              std::uint64_t n = 1) {
     ops.push_back({MetricType::kCounter, name, labels,
-                   static_cast<double>(n), true});
+                   static_cast<double>(n)});
   }
   void observe(const std::string& name, const MetricLabels& labels,
-               double value, bool fold = true) {
-    ops.push_back({MetricType::kHistogram, name, labels, value, fold});
+               double value) {
+    ops.push_back({MetricType::kHistogram, name, labels, value});
   }
   bool empty() const { return spans.empty() && ops.empty(); }
 };
 
-/// Publishes captures as frames and folds them into the batch surfaces.
-/// Span -> topic: channel-scoped kinds (kExecution, kRecalibration,
-/// kEpochSwap) go to trace/tenant=T/channel=<entity>; everything else to
-/// the request-scoped trace/tenant=T. Ops -> metrics/<name>. Thread-safe
-/// (captures publish atomically, one at a time).
+/// Where one run's telemetry goes. Every member is optional (null = that
+/// surface is off); an empty TelemetryTargets switches telemetry off
+/// entirely, and the emitting components then pass a null capture.
+struct TelemetryTargets {
+  TraceRecorder* trace = nullptr;
+  MetricsRegistry* metrics = nullptr;
+  TelemetryBus* bus = nullptr;
+
+  bool empty() const {
+    return trace == nullptr && metrics == nullptr && bus == nullptr;
+  }
+};
+
+/// The one sink of a run: publishes captures as frames (when a bus is
+/// attached) and folds them into the recorder / registry. Span -> topic:
+/// channel-scoped kinds (kExecution, kRecalibration, kEpochSwap) go to
+/// trace/tenant=T/channel=<entity>; everything else to the request-scoped
+/// trace/tenant=T. Ops -> metrics/<name>. Thread-safe (captures publish
+/// atomically, one at a time).
 class TelemetryStream {
  public:
-  /// `trace` / `metrics` (either may be null) receive the fold: spans
-  /// re-record (idempotent duplicates collapse in sorted()), fold-marked
-  /// ops apply (counter add / gauge set / histogram observe), so the end
-  /// state equals the non-streaming path bit for bit.
-  TelemetryStream(TelemetryBus& bus, TraceRecorder* trace,
-                  MetricsRegistry* metrics)
-      : bus_(bus), trace_(trace), metrics_(metrics) {}
+  /// Every target is optional. The fold re-records spans (idempotent
+  /// duplicates collapse in sorted()) and applies every op (counter add /
+  /// gauge set / histogram observe), so the recorder and registry end the
+  /// same whether or not a bus is attached.
+  explicit TelemetryStream(TelemetryTargets targets) : targets_(targets) {}
 
-  /// Publish one capture's frames, then fold it.
+  /// Publish one capture's frames (bus only), then fold it.
   void publish(const TelemetryCapture& capture);
-
-  /// Publish one already-folded span (live-mode admission events).
-  void publish_span(std::int32_t tenant, const TraceEvent& event);
 
  private:
   std::mutex mutex_;
-  TelemetryBus& bus_;
-  TraceRecorder* trace_;
-  MetricsRegistry* metrics_;
+  TelemetryTargets targets_;
 };
 
 /// Reorder buffer of parallel replay: deposit(log_index, capture) from any

@@ -73,11 +73,12 @@ struct TraceEvent {
 /// Canonical event order: (key, kind, entity, sequence, tick, time_h, value).
 bool trace_event_less(const TraceEvent& a, const TraceEvent& b);
 
-/// Thread-safe structured-event recorder. A null recorder pointer is the
-/// universal "tracing off" switch: every instrumented component accepts
-/// `obs::TraceRecorder*` and records only when non-null, so the tracing
-/// tax is one branch when disabled (BM_ObsOverhead measures the enabled
-/// cost).
+/// Thread-safe structured-event recorder. Components never write to it
+/// directly: they record into an obs::TelemetryCapture, which the run's
+/// obs::TelemetryStream folds in here. An empty obs::TelemetryTargets is
+/// the "telemetry off" switch -- components then get a null capture, so
+/// the tax is one branch when disabled (BM_ObsOverhead measures the
+/// enabled cost).
 class TraceRecorder {
  public:
   TraceRecorder() = default;

@@ -22,6 +22,26 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
+void replay_captured(
+    std::size_t count, std::size_t parallelism, obs::TelemetryStream* sink,
+    const std::function<void(std::size_t, obs::TelemetryCapture*)>& execute) {
+  const sim::BatchRunner runner(parallelism);
+  if (sink == nullptr) {
+    runner.run(count, [&](std::size_t i) { execute(i, nullptr); });
+    return;
+  }
+  // Each request's telemetry records into a private capture while it
+  // executes, and captures publish in log order through the sequencer --
+  // the published per-topic frame sequence is a pure function of (log,
+  // configuration), independent of parallelism.
+  obs::StreamSequencer sequencer(*sink, count);
+  runner.run(count, [&](std::size_t i) {
+    obs::TelemetryCapture capture;
+    execute(i, &capture);
+    sequencer.deposit(i, std::move(capture));
+  });
+}
+
 Scheduler::Scheduler(DiagnosticsService& service, SchedulerConfig config)
     : service_(service), config_(config), queue_(config.queue) {
   if (config_.workers == 0) {
@@ -37,34 +57,19 @@ std::vector<Response> Scheduler::replay(std::span<const Request> log,
   // executes, and each response writes to its pre-assigned slot -- the
   // BatchRunner contract, extended to the service layer.
   std::vector<Response> responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  if (stream_ == nullptr) {
-    runner.run(log.size(),
-               [&](std::size_t i) { responses[i] = service_.execute(log[i]); });
-    return responses;
-  }
-  // Streaming replay: each request's telemetry records into a private
-  // capture while it executes, and captures publish in log order through
-  // the sequencer -- the published per-topic frame sequence is a pure
-  // function of (log, configuration), independent of parallelism.
-  obs::StreamSequencer sequencer(*stream_out_, log.size());
-  runner.run(log.size(), [&](std::size_t i) {
-    obs::TelemetryCapture capture;
-    responses[i] = service_.execute(log[i], &capture);
-    sequencer.deposit(i, std::move(capture));
-  });
+  replay_captured(log.size(), parallelism,
+                  telemetry_ ? &*telemetry_ : nullptr,
+                  [&](std::size_t i, obs::TelemetryCapture* capture) {
+                    responses[i] = service_.execute(log[i], capture);
+                  });
   return responses;
 }
 
-void Scheduler::set_stream(obs::TelemetryBus* stream, std::int32_t shard) {
-  util::require(!running_, "attach the telemetry stream before start()");
-  stream_ = stream;
-  stream_shard_ = shard;
-  stream_out_ =
-      stream_ == nullptr
-          ? nullptr
-          : std::make_unique<obs::TelemetryStream>(
-                *stream_, service_.trace(), service_.metrics());
+void Scheduler::attach(obs::TelemetryTargets targets, std::int32_t shard) {
+  util::require(!running_, "attach telemetry before start()");
+  shard_ = shard;
+  telemetry_.reset();
+  if (!targets.empty()) telemetry_.emplace(targets);
 }
 
 void Scheduler::start(ResultSink* sink) {
@@ -83,52 +88,41 @@ void Scheduler::start(ResultSink* sink) {
   }
 }
 
-void Scheduler::note_admission(std::uint64_t id, Priority priority,
-                               std::int32_t tenant, double time_h,
-                               Admission admission) {
-  const obs::TraceEvent event{id, obs::SpanKind::kAdmission,
-                              static_cast<std::uint64_t>(priority), 0, 0,
-                              time_h, static_cast<double>(admission)};
-  if (stream_out_ != nullptr) {
-    // Streams the span AND folds it into the service's attached recorder;
-    // a separately attached scheduler recorder still gets its copy.
-    stream_out_->publish_span(tenant, event);
-    if (trace_ != nullptr && trace_ != service_.trace()) trace_->record(event);
-    return;
+template <typename Push>
+Admission Scheduler::admit(Request request, Push&& push) {
+  // A malformed request fails here, in the caller: on a worker thread the
+  // exception would escape std::thread and terminate the process.
+  service_.validate(request);
+  obs::TraceEvent offered{request.id, obs::SpanKind::kAdmission,
+                          static_cast<std::uint64_t>(request.priority), 0, 0,
+                          request.time_h};
+  const auto tenant = static_cast<std::int32_t>(request.session.tenant);
+  const Admission admission = push(std::move(request));
+  if (telemetry_) {
+    offered.value = static_cast<double>(admission);
+    obs::TelemetryCapture capture;
+    capture.tenant = tenant;
+    capture.span(offered);
+    telemetry_->publish(capture);
   }
-  if (trace_ != nullptr) trace_->record(event);
+  return admission;
 }
 
 Admission Scheduler::submit(Request request) {
-  const std::uint64_t id = request.id;
-  const Priority priority = request.priority;
-  const auto tenant = static_cast<std::int32_t>(request.session.tenant);
-  const double time_h = request.time_h;
-  const Admission admission = queue_.try_push(std::move(request));
-  note_admission(id, priority, tenant, time_h, admission);
-  return admission;
+  return admit(std::move(request),
+               [this](Request r) { return queue_.try_push(std::move(r)); });
 }
 
 Admission Scheduler::submit_wait(Request request) {
-  const std::uint64_t id = request.id;
-  const Priority priority = request.priority;
-  const auto tenant = static_cast<std::int32_t>(request.session.tenant);
-  const double time_h = request.time_h;
-  const Admission admission = queue_.push_wait(std::move(request));
-  note_admission(id, priority, tenant, time_h, admission);
-  return admission;
+  return admit(std::move(request),
+               [this](Request r) { return queue_.push_wait(std::move(r)); });
 }
 
 Admission Scheduler::submit_wait_for(Request request,
                                      std::chrono::nanoseconds timeout) {
-  const std::uint64_t id = request.id;
-  const Priority priority = request.priority;
-  const auto tenant = static_cast<std::int32_t>(request.session.tenant);
-  const double time_h = request.time_h;
-  const Admission admission =
-      queue_.push_wait_for(std::move(request), timeout);
-  note_admission(id, priority, tenant, time_h, admission);
-  return admission;
+  return admit(std::move(request), [this, timeout](Request r) {
+    return queue_.push_wait_for(std::move(r), timeout);
+  });
 }
 
 void Scheduler::drain_and_stop() {
@@ -142,60 +136,21 @@ void Scheduler::drain_and_stop() {
 }
 
 std::uint64_t Scheduler::completed() const {
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
+  const std::lock_guard<std::mutex> lock(completed_mutex_);
   std::uint64_t n = 0;
-  for (const PriorityTelemetry& t : telemetry_) n += t.completed;
+  for (const std::uint64_t c : completed_) n += c;
   return n;
-}
-
-PriorityTelemetry Scheduler::telemetry(Priority priority) const {
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-  return telemetry_[static_cast<std::size_t>(priority)];
-}
-
-void Scheduler::set_metrics(obs::MetricsRegistry* metrics, std::int32_t shard) {
-  util::require(!running_, "attach metrics before start()");
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    completed_metric_ = {};
-    queue_wait_metric_ = {};
-    service_time_metric_ = {};
-    return;
-  }
-  // Resolve the per-priority handles once; registry references are stable,
-  // so the worker hot path is an atomic add plus one histogram lock.
-  for (std::size_t p = 0; p < kPriorityCount; ++p) {
-    obs::MetricLabels labels;
-    labels.shard = shard;
-    labels.priority = static_cast<std::int32_t>(p);
-    completed_metric_[p] =
-        &metrics_->counter("serve.scheduler.completed", labels);
-    queue_wait_metric_[p] =
-        &metrics_->histogram("serve.scheduler.queue_wait_s", labels);
-    service_time_metric_[p] =
-        &metrics_->histogram("serve.scheduler.service_time_s", labels);
-  }
 }
 
 void Scheduler::publish_metrics(obs::MetricsRegistry& registry,
                                 std::int32_t shard) const {
-  obs::MetricLabels shard_labels;
-  shard_labels.shard = shard;
-  queue_stats().publish(registry, shard_labels);
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
+  obs::MetricLabels labels;
+  labels.shard = shard;
+  queue_stats().publish(registry, labels);
+  const std::lock_guard<std::mutex> lock(completed_mutex_);
   for (std::size_t p = 0; p < kPriorityCount; ++p) {
-    obs::MetricLabels labels = shard_labels;
     labels.priority = static_cast<std::int32_t>(p);
-    registry.counter("serve.scheduler.completed", labels)
-        .set(telemetry_[p].completed);
-    if (&registry != metrics_) {
-      // The live registry already saw every observation streamed by the
-      // workers; merging the account again would double-count it.
-      registry.histogram("serve.scheduler.queue_wait_s", labels)
-          .merge(telemetry_[p].queue_wait);
-      registry.histogram("serve.scheduler.service_time_s", labels)
-          .merge(telemetry_[p].service_time);
-    }
+    registry.counter("serve.scheduler.completed", labels).set(completed_[p]);
   }
 }
 
@@ -206,9 +161,8 @@ void Scheduler::worker_loop() {
     const double queue_wait = seconds_between(item.enqueued_at, dispatched);
 
     obs::TelemetryCapture capture;
-    const bool streaming = stream_out_ != nullptr;
     const Response response =
-        service_.execute(item.request, streaming ? &capture : nullptr);
+        service_.execute(item.request, telemetry_ ? &capture : nullptr);
 
     const double service_time =
         seconds_between(dispatched, std::chrono::steady_clock::now());
@@ -222,46 +176,24 @@ void Scheduler::worker_loop() {
     telemetry.calibration_epoch = response.calibration_epoch;
     telemetry.flags = static_cast<std::uint32_t>(response.flags());
 
-    {
-      const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-      PriorityTelemetry& account =
-          telemetry_[static_cast<std::size_t>(response.priority)];
-      ++account.completed;
-      account.queue_wait.add(queue_wait);
-      account.service_time.add(service_time);
-    }
     const auto lane = static_cast<std::size_t>(response.priority);
-    if (metrics_ != nullptr) {
-      completed_metric_[lane]->add(1);
-      queue_wait_metric_[lane]->observe(queue_wait);
-      service_time_metric_[lane]->observe(service_time);
+    {
+      const std::lock_guard<std::mutex> lock(completed_mutex_);
+      ++completed_[lane];
     }
-    // Observational span: `value` is wall seconds, the one deliberate
-    // exception to the pure-function field contract (live mode only).
-    const obs::TraceEvent queue_wait_span{
-        response.request_id, obs::SpanKind::kQueueWait, lane, 0, 0,
-        response.time_h, queue_wait};
-    if (streaming) {
-      // Stream the request's capture at completion, with the scheduler's
-      // wall-clock account riding along as non-fold deltas (the direct
-      // writes above already applied them; the stream only publishes).
+    if (telemetry_) {
+      // The wall-clock account rides in the request's capture. The
+      // kQueueWait span's `value` is wall seconds, the one deliberate
+      // exception to the pure-function field contract (live mode only).
       obs::MetricLabels labels;
-      labels.shard = stream_shard_;
+      labels.shard = shard_;
       labels.priority = static_cast<std::int32_t>(lane);
-      capture.ops.push_back({obs::MetricType::kCounter,
-                             "serve.scheduler.completed", labels, 1.0,
-                             false});
-      capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait,
-                      false);
-      capture.observe("serve.scheduler.service_time_s", labels, service_time,
-                      false);
-      capture.span(queue_wait_span);
-      stream_out_->publish(capture);
-      if (trace_ != nullptr && trace_ != service_.trace()) {
-        trace_->record(queue_wait_span);
-      }
-    } else if (trace_ != nullptr) {
-      trace_->record(queue_wait_span);
+      capture.count("serve.scheduler.completed", labels);
+      capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait);
+      capture.observe("serve.scheduler.service_time_s", labels, service_time);
+      capture.span(response.request_id, obs::SpanKind::kQueueWait, lane, 0, 0,
+                   response.time_h, queue_wait);
+      telemetry_->publish(capture);
     }
     if (sink_ != nullptr) {
       sink_->on_response(response);

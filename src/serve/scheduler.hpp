@@ -12,26 +12,29 @@
 /// - start()/submit()/drain_and_stop(): live mode. Worker threads pop the
 ///   bounded priority RequestQueue, execute, and feed responses plus
 ///   wall-clock telemetry (queue wait, service time) to a ResultSink and
-///   the per-priority latency histograms. Admission control is the
-///   caller's choice per request: submit() rejects when full (open-loop
-///   load shedding), submit_wait() blocks (backpressure).
+///   the attached telemetry targets. Admission control is the caller's
+///   choice per request: submit() rejects when full (open-loop load
+///   shedding), submit_wait() blocks (backpressure).
+///
+/// Telemetry (attach()): every request records into a private
+/// obs::TelemetryCapture, and one obs::TelemetryStream per scheduler
+/// publishes it to the bus (if any) and folds it into the recorder and
+/// registry (if any). Nothing else writes spans or metrics.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/stream.hpp"
-#include "obs/trace.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_sink.hpp"
 #include "serve/service.hpp"
-#include "util/stats.hpp"
 
 namespace idp::serve {
 
@@ -42,19 +45,16 @@ struct SchedulerConfig {
   std::size_t workers = 0;
 };
 
-/// Per-priority latency account (seconds).
-struct PriorityTelemetry {
-  std::uint64_t completed = 0;
-  util::LatencyHistogram queue_wait;
-  util::LatencyHistogram service_time;
-
-  /// Fold another account in (cross-shard / cross-worker aggregation).
-  void merge(const PriorityTelemetry& other) {
-    completed += other.completed;
-    queue_wait.merge(other.queue_wait);
-    service_time.merge(other.service_time);
-  }
-};
+/// The replay execution path shared by Scheduler and ShardCluster: runs
+/// `execute(i, capture)` for every log slot over one sim::BatchRunner
+/// (parallelism 0 = hardware, 1 = inline). With a `sink`, each slot
+/// records into a private capture that publishes in log order through an
+/// obs::StreamSequencer, so the published frames and the folded recorder
+/// and registry are the same at any parallelism; without one, `capture`
+/// is null and telemetry is off.
+void replay_captured(
+    std::size_t count, std::size_t parallelism, obs::TelemetryStream* sink,
+    const std::function<void(std::size_t, obs::TelemetryCapture*)>& execute);
 
 class Scheduler {
  public:
@@ -84,7 +84,10 @@ class Scheduler {
   /// (the queue closed permanently; construct a fresh Scheduler instead).
   void start(ResultSink* sink = nullptr);
 
-  /// Non-blocking admission (explicit reject when full).
+  /// Non-blocking admission (explicit reject when full). Every submit path
+  /// first runs DiagnosticsService::validate, so a malformed request
+  /// throws std::invalid_argument here, in the caller, and never reaches
+  /// the queue or a worker.
   Admission submit(Request request);
 
   /// Blocking admission (backpressure).
@@ -109,51 +112,34 @@ class Scheduler {
   /// Requests fully served in live mode.
   std::uint64_t completed() const;
 
-  /// Copy of one priority class's latency account. Predates the metrics
-  /// registry; kept as the cross-shard merge primitive. publish_metrics()
-  /// is the registry-era surface over the same counters.
-  PriorityTelemetry telemetry(Priority priority) const;
-
   // --- observability ---------------------------------------------------------
 
-  /// Attach a trace recorder (nullptr = tracing off, the default). Live
-  /// admission and dispatch events record here, and the underlying
-  /// service's spans ride along when it carries the same recorder.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attach a metrics registry for live-mode streaming: workers add to
-  /// serve.scheduler.completed and observe the queue_wait_s /
-  /// service_time_s histograms as requests finish (labels: priority, plus
-  /// `shard` when >= 0). Call before start().
-  void set_metrics(obs::MetricsRegistry* metrics, std::int32_t shard = -1);
+  /// Attach this scheduler's telemetry targets (empty = off, the default;
+  /// call before start()). replay() then captures each request privately
+  /// and publishes the captures in log order (replay_captured), so
+  /// per-topic frame sequences and the folded recorder / registry are
+  /// bitwise identical at any parallelism. Live workers publish each
+  /// request's capture at completion together with the wall-clock account
+  /// -- serve.scheduler.completed, the queue_wait_s / service_time_s
+  /// histograms (labels: priority, plus `shard` when >= 0) and the
+  /// kQueueWait span -- and submit() publishes one kAdmission span per
+  /// offer.
+  void attach(obs::TelemetryTargets targets, std::int32_t shard = -1);
 
   /// Publish the admission account and per-priority completion counters
-  /// (set-semantics) into `registry` under the canonical serve.* names.
-  /// Latency histograms merge in too -- unless `registry` is the live
-  /// registry attached via set_metrics, whose histograms already streamed.
+  /// (set-semantics, so publishing twice is idempotent) into `registry`
+  /// under the canonical serve.* names. Latency lives only in the
+  /// histograms of the attached registry.
   void publish_metrics(obs::MetricsRegistry& registry,
                        std::int32_t shard = -1) const;
-
-  /// Attach a telemetry bus (nullptr = off). replay() then captures each
-  /// request's telemetry privately and publishes it in log order through
-  /// an obs::StreamSequencer -- per-topic frame sequences are bitwise
-  /// identical at any parallelism (the `stream` determinism workload).
-  /// Live workers publish each request's capture at completion, plus the
-  /// wall-clock scheduler account (completed / queue_wait_s /
-  /// service_time_s deltas) and the admission spans from submit().
-  /// Captures fold into the service's attached trace/metrics on publish,
-  /// so every batch-era export is unchanged by streaming. `shard` labels
-  /// the live-mode scheduler deltas (like set_metrics).
-  void set_stream(obs::TelemetryBus* stream, std::int32_t shard = -1);
 
  private:
   void worker_loop();
 
-  /// Admission-span tap shared by the submit paths (streams and/or
-  /// records, per what is attached).
-  void note_admission(std::uint64_t id, Priority priority,
-                      std::int32_t tenant, double time_h,
-                      Admission admission);
+  /// The submit paths' shared body: validate, offer through `push`, then
+  /// publish the offer's kAdmission span.
+  template <typename Push>
+  Admission admit(Request request, Push&& push);
 
   DiagnosticsService& service_;
   SchedulerConfig config_;
@@ -162,21 +148,12 @@ class Scheduler {
   ResultSink* sink_ = nullptr;
   bool running_ = false;
 
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TelemetryBus* stream_ = nullptr;
-  /// Publisher over stream_ folding into the service's attached surfaces;
-  /// rebuilt whenever set_stream is called.
-  std::unique_ptr<obs::TelemetryStream> stream_out_;
-  std::int32_t stream_shard_ = -1;  ///< shard label of live-mode stream ops
-  /// Cached stable registry handles (one per priority) so the worker hot
-  /// path pays no registry lookup.
-  std::array<obs::Counter*, kPriorityCount> completed_metric_{};
-  std::array<obs::Histogram*, kPriorityCount> queue_wait_metric_{};
-  std::array<obs::Histogram*, kPriorityCount> service_time_metric_{};
+  /// The one telemetry sink (empty = off), built by attach().
+  std::optional<obs::TelemetryStream> telemetry_;
+  std::int32_t shard_ = -1;  ///< shard label of the live-mode account
 
-  mutable std::mutex telemetry_mutex_;
-  std::array<PriorityTelemetry, kPriorityCount> telemetry_;
+  mutable std::mutex completed_mutex_;
+  std::array<std::uint64_t, kPriorityCount> completed_{};  ///< per priority
 };
 
 }  // namespace idp::serve

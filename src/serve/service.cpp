@@ -116,20 +116,14 @@ const quant::Quantifier& DiagnosticsService::quantifier_for(
   // Campaign-active + epoch-swap spans, emitted by EVERY request that uses
   // the epoch: each field is a pure function of (session, channel, epoch),
   // so re-emissions are exact duplicates that collapse in sorted() -- and
-  // under streaming, each request's capture carries them regardless of
-  // which request's builder won the warm-cache race (no metrics counter
-  // for builds for the same reason: a *count* would depend on the race).
+  // each request's capture carries them regardless of which request's
+  // builder won the warm-cache race (no metrics counter for builds for the
+  // same reason: a *count* would depend on the race).
   if (capture != nullptr) {
     capture->span(session.site_id(), obs::SpanKind::kRecalibration, channel,
                   epoch, 0, boundary_age * 24.0, static_cast<double>(block));
     capture->span(session.site_id(), obs::SpanKind::kEpochSwap, channel,
                   epoch, 0, boundary_age * 24.0, static_cast<double>(epoch));
-  } else if (trace_ != nullptr) {
-    trace_->record(session.site_id(), obs::SpanKind::kRecalibration, channel,
-                   epoch, 0, boundary_age * 24.0, static_cast<double>(block));
-    trace_->record(session.site_id(), obs::SpanKind::kEpochSwap, channel,
-                   epoch, 0, boundary_age * 24.0,
-                   static_cast<double>(epoch));
   }
   return quantifier;
 }
@@ -188,48 +182,31 @@ void DiagnosticsService::note_run(const Request& request,
                                   std::uint64_t sequence,
                                   std::uint64_t run_id,
                                   obs::TelemetryCapture* capture) {
-  const char* counter = request.kind == RequestKind::kQcCheck
-                            ? "serve.service.qc_runs"
-                            : "serve.service.channel_reads";
+  if (capture == nullptr) return;
   obs::MetricLabels labels;
   labels.tenant = static_cast<std::int32_t>(request.session.tenant);
   labels.channel = static_cast<std::int32_t>(channel);
-  if (capture != nullptr) {
-    capture->span(request.id, obs::SpanKind::kExecution, channel, sequence,
-                  0, request.time_h, static_cast<double>(run_id));
-    capture->count(counter, labels);
-    return;
-  }
-  if (trace_ != nullptr) {
-    trace_->record(request.id, obs::SpanKind::kExecution, channel, sequence,
-                   0, request.time_h, static_cast<double>(run_id));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter(counter, labels).add(1);
-  }
+  capture->span(request.id, obs::SpanKind::kExecution, channel, sequence, 0,
+                request.time_h, static_cast<double>(run_id));
+  capture->count(request.kind == RequestKind::kQcCheck
+                     ? "serve.service.qc_runs"
+                     : "serve.service.channel_reads",
+                 labels);
 }
 
 void DiagnosticsService::note_estimate(const Request& request,
                                        std::uint32_t channel,
                                        double estimate_mM,
                                        obs::TelemetryCapture* capture) {
+  if (capture == nullptr) return;
   obs::MetricLabels labels;
   labels.tenant = static_cast<std::int32_t>(request.session.tenant);
   labels.channel = static_cast<std::int32_t>(channel);
-  if (capture != nullptr) {
-    capture->observe("serve.service.estimate_mM", labels, estimate_mM);
-  } else if (metrics_ != nullptr) {
-    metrics_->histogram("serve.service.estimate_mM", labels)
-        .observe(estimate_mM);
-  }
+  capture->observe("serve.service.estimate_mM", labels, estimate_mM);
 }
 
-Response DiagnosticsService::execute(const Request& request,
-                                     obs::TelemetryCapture* capture) {
+void DiagnosticsService::validate(const Request& request) const {
   const std::size_t n_channels = config_.panel.size();
-  if (capture != nullptr) {
-    capture->tenant = static_cast<std::int32_t>(request.session.tenant);
-  }
   switch (request.kind) {
     case RequestKind::kPanelScan:
       util::require(request.concentrations_mM.size() == n_channels,
@@ -246,6 +223,20 @@ Response DiagnosticsService::execute(const Request& request,
       util::require(request.channel < n_channels, "channel out of range");
       break;
   }
+  // std::max(0.0, NaN) is 0.0: a non-finite instant would silently become
+  // a day-0 request, so it is rejected here instead.
+  util::require(std::isfinite(request.time_h), "time_h must be finite");
+  for (const double mM : request.concentrations_mM) {
+    util::require(std::isfinite(mM) && mM >= 0.0,
+                  "concentrations must be finite and non-negative");
+  }
+  (void)lease_base(request.id);  // throws past the serve run-id domain
+}
+
+Response DiagnosticsService::execute(const Request& request,
+                                     obs::TelemetryCapture* capture) {
+  validate(request);
+  const std::size_t n_channels = config_.panel.size();
 
   Session& session = registry_.get_or_create(request.session);
   session.note_request();
@@ -255,23 +246,14 @@ Response DiagnosticsService::execute(const Request& request,
   const std::uint32_t epoch = epoch_for(age_days);
   const std::uint64_t lease = lease_base(request.id);
 
-  {
+  if (capture != nullptr) {
     obs::MetricLabels labels;
     labels.tenant = static_cast<std::int32_t>(request.session.tenant);
     labels.priority = static_cast<std::int32_t>(request.priority);
-    if (capture != nullptr) {
-      capture->span(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
-                    request.time_h, static_cast<double>(epoch));
-      capture->count("serve.service.requests", labels);
-    } else {
-      if (trace_ != nullptr) {
-        trace_->record(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
-                       request.time_h, static_cast<double>(epoch));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->counter("serve.service.requests", labels).add(1);
-      }
-    }
+    capture->tenant = labels.tenant;
+    capture->span(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
+                  request.time_h, static_cast<double>(epoch));
+    capture->count("serve.service.requests", labels);
   }
 
   Response response;

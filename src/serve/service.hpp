@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "fault/degradation.hpp"
-#include "obs/metrics.hpp"
 #include "obs/stream.hpp"
-#include "obs/trace.hpp"
 #include "quant/calibration_store.hpp"
 #include "serve/request.hpp"
 #include "serve/session_registry.hpp"
@@ -124,45 +122,30 @@ class DiagnosticsService {
   /// Calibration epoch a request at this sensor age resolves to.
   std::uint32_t epoch_for(double sensor_age_days) const;
 
+  /// Reject a malformed request with std::invalid_argument: the shape its
+  /// kind requires, an in-range channel, a finite time_h, finite
+  /// non-negative concentrations and an id inside the serve run-id
+  /// domain. execute() calls it, and so does Scheduler admission, so a
+  /// bad request fails in the caller instead of on a worker thread.
+  void validate(const Request& request) const;
+
   /// Execute one request. Pure in the determinism sense (see file
   /// comment); mutates only the session registry's warm caches and
   /// counters, which are order-insensitive.
-  Response execute(const Request& request) { return execute(request, nullptr); }
-
-  /// Streaming-mode execute: with a capture, every span and metric update
-  /// of this request records into `capture` INSTEAD of the attached
-  /// recorder/registry -- the telemetry stream publishes the capture in
-  /// log order and folds it back (obs::TelemetryStream), so the batch
-  /// surfaces end identical while the published frame sequence stays a
-  /// pure function of the request. Captured spans are themselves pure
-  /// functions of (request, configuration): epoch spans (kEpochSwap,
-  /// kRecalibration) emit for *every* request on the epoch, not just the
+  ///
+  /// Telemetry goes to `capture` only (nullptr = off): kLeaseGrant, one
+  /// kExecution per measured run, kEpochSwap / kRecalibration for field
+  /// recalibration epochs, and the serve.service.* request / read / QC
+  /// counters and estimate histogram (labels: tenant, priority, channel).
+  /// The caller's obs::TelemetryStream publishes and folds the capture.
+  /// Every captured field is a pure function of (request, configuration):
+  /// epoch spans emit for *every* request on the epoch, not just the
   /// cache-building winner, so which request carries them never depends
   /// on the thread schedule (they collapse as exact duplicates on fold).
   Response execute(const Request& request, obs::TelemetryCapture* capture);
 
   SessionRegistry& sessions() { return registry_; }
   const SessionRegistry& sessions() const { return registry_; }
-
-  // --- observability ---------------------------------------------------------
-
-  /// Attach a trace recorder (nullptr = off). execute() then emits
-  /// kLeaseGrant, one kExecution per measured run, and kEpochSwap /
-  /// kRecalibration spans for field-recalibration epochs. Every emitted
-  /// field is a pure function of (request, configuration), so the sorted
-  /// trace inherits the response determinism contract; idempotent
-  /// session-epoch spans collapse in TraceRecorder::sorted().
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attach a metrics registry (nullptr = off): request / channel-read /
-  /// QC / recalibration counters under serve.service.* (labels: tenant,
-  /// priority, channel). Thread-safe alongside concurrent execute().
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// The attached surfaces (nullptr = off) -- what a TelemetryStream
-  /// folds captures into.
-  obs::TraceRecorder* trace() const { return trace_; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
   /// The active quantifier of (session, channel) at an epoch: the factory
@@ -183,7 +166,7 @@ class DiagnosticsService {
                  double concentration_mM, std::uint64_t run_id) const;
 
   /// Observability tap of one measured run: kExecution span plus the
-  /// per-channel read counter. No-op when neither surface is attached.
+  /// per-channel read counter. No-op without a capture.
   void note_run(const Request& request, std::uint32_t channel,
                 std::uint64_t sequence, std::uint64_t run_id,
                 obs::TelemetryCapture* capture);
@@ -200,8 +183,6 @@ class DiagnosticsService {
   std::vector<sim::ChannelProtocol> protocols_;
   std::vector<const quant::Quantifier*> factory_;  ///< stable store addresses
   SessionRegistry registry_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace idp::serve

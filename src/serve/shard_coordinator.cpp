@@ -10,10 +10,22 @@
 #include <set>
 #include <utility>
 
-#include "sim/batch.hpp"
 #include "util/error.hpp"
 
 namespace idp::serve {
+
+namespace {
+
+/// Coordinator-side telemetry depends on the delivery / fault schedule,
+/// so it folds into the recorder and registry through a bus-less stream
+/// and never reaches the bus.
+void fold_unstreamed(const obs::TelemetryTargets& targets,
+                     const obs::TelemetryCapture& capture) {
+  obs::TelemetryStream({.trace = targets.trace, .metrics = targets.metrics})
+      .publish(capture);
+}
+
+}  // namespace
 
 // --- ResultMerger -----------------------------------------------------------
 
@@ -206,45 +218,31 @@ ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
   if (transport == nullptr) transport = &direct;
 
   // Route up front: shard assignment and per-shard send sequences are
-  // fixed before anything executes, exactly like run-id leases. Under
-  // streaming, the route span travels in each request's capture instead
-  // of recording here (the fold reproduces it bit for bit).
-  const bool streaming = stream_ != nullptr;
+  // fixed before anything executes, exactly like run-id leases.
   std::vector<std::size_t> shard_of(log.size());
   std::vector<std::vector<std::size_t>> routed(shard_count());
   for (std::size_t i = 0; i < log.size(); ++i) {
     shard_of[i] = router_.route(log[i].session);
     routed[shard_of[i]].push_back(i);
-    if (!streaming && trace_ != nullptr) {
-      trace_->record(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
-                     log[i].time_h);
-    }
   }
 
   // Execute everything through one BatchRunner (each request on its own
   // shard's service) so parallelism semantics match Scheduler::replay and
-  // shards genuinely run concurrently. Streaming captures publish in log
-  // order during THIS phase -- before transport and merge -- so the frame
-  // sequence never depends on the transport's delivery schedule.
+  // shards genuinely run concurrently. Captures, route span included,
+  // publish in log order during THIS phase -- before transport and merge
+  // -- so the frame sequence never depends on the delivery schedule.
   std::vector<Response> responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  std::optional<obs::TelemetryStream> stream_out;
-  std::optional<obs::StreamSequencer> sequencer;
-  if (streaming) {
-    stream_out.emplace(*stream_, trace_, metrics_);
-    sequencer.emplace(*stream_out, log.size());
-  }
-  runner.run(log.size(), [&](std::size_t i) {
-    if (streaming) {
-      obs::TelemetryCapture capture;
-      capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
-                   log[i].time_h);
-      responses[i] = services_[shard_of[i]]->execute(log[i], &capture);
-      sequencer->deposit(i, std::move(capture));
-    } else {
-      responses[i] = services_[shard_of[i]]->execute(log[i]);
-    }
-  });
+  std::optional<obs::TelemetryStream> sink;
+  if (!targets_.empty()) sink.emplace(targets_);
+  replay_captured(log.size(), parallelism, sink ? &*sink : nullptr,
+                  [&](std::size_t i, obs::TelemetryCapture* capture) {
+                    if (capture != nullptr) {
+                      capture->span(log[i].id, obs::SpanKind::kShardRoute,
+                                    shard_of[i], 0, 0, log[i].time_h);
+                    }
+                    responses[i] =
+                        services_[shard_of[i]]->execute(log[i], capture);
+                  });
 
   // Stream shard result streams into the transport round-robin, so
   // cross-shard interleaving is real even before the transport reorders.
@@ -269,18 +267,20 @@ ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
 
   // Coordinator drain + sorted merge keyed on request id.
   ResultMerger merger;
+  obs::TelemetryCapture merges;
   ResponseEnvelope envelope;
   while (transport->poll(envelope)) {
-    if (merger.accept(envelope) && trace_ != nullptr) {
-      trace_->record(envelope.response.request_id, obs::SpanKind::kMerge,
-                     envelope.shard, envelope.sequence, 0,
-                     envelope.response.time_h);
+    if (merger.accept(envelope)) {
+      merges.span(envelope.response.request_id, obs::SpanKind::kMerge,
+                  envelope.shard, envelope.sequence, 0,
+                  envelope.response.time_h);
     }
   }
+  fold_unstreamed(targets_, merges);
   result.merge = merger.stats();
   result.responses = merger.finish(log.size());
-  if (metrics_ != nullptr) {
-    result.merge.publish(*metrics_, result.responses.size());
+  if (targets_.metrics != nullptr) {
+    result.merge.publish(*targets_.metrics, result.responses.size());
   }
   return result;
 }
@@ -320,28 +320,21 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   // function of (log, config, fault schedule) at any parallelism. A real
   // shard computes a response on first execution and caches it for
   // retransmits; precomputing expresses the identical purity statement.
-  // Streaming: the fault-tolerant path streams each request's capture
-  // once, here, in log order. Recovery telemetry (kRetry / kReroute /
-  // kFailover / kMerge, and failover re-executions) depends on the fault
-  // schedule and records into the batch recorder only -- the stream's
-  // determinism contract is over (log, seed, config) alone.
+  // Each request's capture publishes once, here, in log order. Recovery
+  // telemetry (kShardRoute / kRetry / kReroute / kFailover / kRejoin /
+  // kMerge, and failover re-executions) depends on the fault schedule: it
+  // collects in `recovery` and folds unstreamed at the end -- the stream's
+  // determinism contract is over (log, seed, config) alone. (`recovery`
+  // never streams, so the tenant its executions stamp on it is moot.)
   std::vector<Response> primary_responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  std::optional<obs::TelemetryStream> stream_out;
-  std::optional<obs::StreamSequencer> sequencer;
-  if (stream_ != nullptr) {
-    stream_out.emplace(*stream_, trace_, metrics_);
-    sequencer.emplace(*stream_out, log.size());
-  }
-  runner.run(log.size(), [&](std::size_t i) {
-    if (stream_ != nullptr) {
-      obs::TelemetryCapture capture;
-      primary_responses[i] = services_[shard_of[i]]->execute(log[i], &capture);
-      sequencer->deposit(i, std::move(capture));
-    } else {
-      primary_responses[i] = services_[shard_of[i]]->execute(log[i]);
-    }
-  });
+  std::optional<obs::TelemetryStream> sink;
+  if (!targets_.empty()) sink.emplace(targets_);
+  replay_captured(log.size(), parallelism, sink ? &*sink : nullptr,
+                  [&](std::size_t i, obs::TelemetryCapture* capture) {
+                    primary_responses[i] =
+                        services_[shard_of[i]]->execute(log[i], capture);
+                  });
+  obs::TelemetryCapture recovery;
 
   RetryTracker tracker(fault_config.retry);
   FailureDetector detector(fault_config.detector, shard_count());
@@ -361,21 +354,18 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
     const std::size_t target = detector.route_around(primary);
     if (target != primary) ++result.faults.reroutes;
     ++attempts[index];
-    if (trace_ != nullptr) {
-      const std::uint64_t id = log[index].id;
-      const double time_h = log[index].time_h;
-      if (attempts[index] == 1) {
-        trace_->record(id, obs::SpanKind::kShardRoute, target, 0,
-                       transport->now(), time_h);
-      } else {
-        trace_->record(id, obs::SpanKind::kRetry, target,
-                       attempts[index] - 1, transport->now(), time_h);
-      }
-      if (target != primary) {
-        trace_->record(id, obs::SpanKind::kReroute, target,
-                       attempts[index] - 1, transport->now(), time_h,
-                       static_cast<double>(primary));
-      }
+    const std::uint64_t id = log[index].id;
+    const double time_h = log[index].time_h;
+    if (attempts[index] == 1) {
+      recovery.span(id, obs::SpanKind::kShardRoute, target, 0,
+                    transport->now(), time_h);
+    } else {
+      recovery.span(id, obs::SpanKind::kRetry, target, attempts[index] - 1,
+                    transport->now(), time_h);
+    }
+    if (target != primary) {
+      recovery.span(id, obs::SpanKind::kReroute, target, attempts[index] - 1,
+                    transport->now(), time_h, static_cast<double>(primary));
     }
     transport->send_work(WorkEnvelope{target, static_cast<std::uint64_t>(index)});
   };
@@ -419,35 +409,32 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
       ResponseEnvelope envelope;
       envelope.shard = work.shard;
       envelope.sequence = next_sequence[work.shard]++;
-      envelope.response = work.shard == shard_of[index]
-                              ? primary_responses[index]
-                              : services_[work.shard]->execute(log[index]);
+      envelope.response =
+          work.shard == shard_of[index]
+              ? primary_responses[index]
+              : services_[work.shard]->execute(log[index], &recovery);
       transport->send(std::move(envelope));
     }
 
-    // Coordinator side: fold in liveness evidence, then sweep timeouts.
+    // Coordinator side: fold in liveness evidence, then sweep timeouts,
+    // bracketing update() to trace the detector's verdict transitions.
     HeartbeatEnvelope heartbeat;
     while (transport->poll_heartbeat(heartbeat)) {
       detector.heartbeat(heartbeat.shard, transport->now());
     }
-    if (trace_ != nullptr) {
-      // Bracket update() to trace the detector's verdict transitions.
-      std::vector<ShardHealth> before(shard_count());
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        before[s] = detector.health(s);
-      }
-      detector.update(transport->now());
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        const ShardHealth now_health = detector.health(s);
-        if (now_health == before[s]) continue;
-        trace_->record(s,
-                       now_health == ShardHealth::kDown
-                           ? obs::SpanKind::kFailover
-                           : obs::SpanKind::kRejoin,
-                       0, 0, transport->now());
-      }
-    } else {
-      detector.update(transport->now());
+    std::vector<ShardHealth> before(shard_count());
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      before[s] = detector.health(s);
+    }
+    detector.update(transport->now());
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      const ShardHealth now_health = detector.health(s);
+      if (now_health == before[s]) continue;
+      recovery.span(s,
+                    now_health == ShardHealth::kDown
+                        ? obs::SpanKind::kFailover
+                        : obs::SpanKind::kRejoin,
+                    0, 0, transport->now());
     }
 
     // Coordinator side: merge matured responses; completion cancels the
@@ -458,11 +445,9 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
         const std::size_t index = index_of.at(envelope.response.request_id);
         result.executed_by[index] = envelope.shard;
         tracker.completed(index);
-        if (trace_ != nullptr) {
-          trace_->record(envelope.response.request_id, obs::SpanKind::kMerge,
-                         envelope.shard, envelope.sequence, transport->now(),
-                         envelope.response.time_h);
-        }
+        recovery.span(envelope.response.request_id, obs::SpanKind::kMerge,
+                      envelope.shard, envelope.sequence, transport->now(),
+                      envelope.response.time_h);
       }
     }
 
@@ -481,11 +466,12 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   result.faults.shard_failovers = detector.failovers();
   result.faults.shard_rejoins = detector.rejoins();
   result.faults.final_tick = transport->now();
+  fold_unstreamed(targets_, recovery);
   result.merge = merger.stats();
   result.responses = merger.finish(log.size());
-  if (metrics_ != nullptr) {
-    result.merge.publish(*metrics_, result.responses.size());
-    result.faults.publish(*metrics_);
+  if (targets_.metrics != nullptr) {
+    result.merge.publish(*targets_.metrics, result.responses.size());
+    result.faults.publish(*targets_.metrics);
   }
   return result;
 }
@@ -506,15 +492,7 @@ void ShardCluster::start(ResultSink* sink) {
     schedulers_.push_back(
         std::make_unique<Scheduler>(*services_[s], config_.scheduler));
     Scheduler& scheduler = *schedulers_.back();
-    // Wire observability before the workers exist: the scheduler resolves
-    // its per-priority metric handles under this shard's label.
-    scheduler.set_trace(trace_);
-    if (metrics_ != nullptr) {
-      scheduler.set_metrics(metrics_, static_cast<std::int32_t>(s));
-    }
-    if (stream_ != nullptr) {
-      scheduler.set_stream(stream_, static_cast<std::int32_t>(s));
-    }
+    scheduler.attach(targets_, static_cast<std::int32_t>(s));
     scheduler.start(fan_in_.get());
   }
   running_ = true;
@@ -555,14 +533,6 @@ std::uint64_t ShardCluster::completed() const {
   return n;
 }
 
-PriorityTelemetry ShardCluster::telemetry(Priority priority) const {
-  PriorityTelemetry merged;
-  for (const std::unique_ptr<Scheduler>& scheduler : schedulers_) {
-    merged.merge(scheduler->telemetry(priority));
-  }
-  return merged;
-}
-
 QueueStats ShardCluster::queue_stats() const {
   QueueStats merged;
   for (const std::unique_ptr<Scheduler>& scheduler : schedulers_) {
@@ -570,22 +540,6 @@ QueueStats ShardCluster::queue_stats() const {
   }
   return merged;
 }
-
-void ShardCluster::set_trace(obs::TraceRecorder* trace) {
-  trace_ = trace;
-  for (const std::unique_ptr<DiagnosticsService>& service : services_) {
-    service->set_trace(trace);
-  }
-}
-
-void ShardCluster::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  for (const std::unique_ptr<DiagnosticsService>& service : services_) {
-    service->set_metrics(metrics);
-  }
-}
-
-void ShardCluster::set_stream(obs::TelemetryBus* stream) { stream_ = stream; }
 
 void ShardCluster::publish_metrics(obs::MetricsRegistry& registry) const {
   for (std::size_t s = 0; s < schedulers_.size(); ++s) {

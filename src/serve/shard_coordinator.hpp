@@ -37,6 +37,13 @@
 /// duplicates counted (never silently swallowed) and dropped by first
 /// arrival, and loss detected loudly (ResultMerger::finish throws when
 /// responses are missing).
+///
+/// Telemetry: the cluster holds one obs::TelemetryTargets. Every request
+/// execution records into an obs::TelemetryCapture published by one
+/// obs::TelemetryStream per replay; coordinator-side spans (kMerge, kRetry,
+/// kReroute, kFailover, kRejoin) and failover re-executions depend on the
+/// delivery schedule, so they fold through a bus-less stream and never
+/// reach the bus.
 #pragma once
 
 #include <atomic>
@@ -46,8 +53,7 @@
 #include <span>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/stream.hpp"
 #include "serve/failure_detector.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/result_sink.hpp"
@@ -238,7 +244,7 @@ struct FaultTolerantReplayResult {
 /// - start()/submit()/drain_and_stop(): live mode -- each shard runs its
 ///   own Scheduler over its own bounded priority queue, all fanning into
 ///   one shared sink; submit() routes by session key. Per-priority latency
-///   telemetry merges across shards via util::LatencyHistogram::merge.
+///   lands in the attached registry's histograms, labeled by shard.
 class ShardCluster {
  public:
   ShardCluster(quant::CalibrationStore& store, ServiceConfig service,
@@ -312,43 +318,34 @@ class ShardCluster {
   /// Requests fully served in live mode, across all shards.
   std::uint64_t completed() const;
 
-  /// One priority class's latency account, merged across all shards.
-  PriorityTelemetry telemetry(Priority priority) const;
-
   /// Admission accounting (accepted / rejected / shed / timed out),
   /// merged across all shard queues. Zeros before start().
   QueueStats queue_stats() const;
 
   // --- observability ---------------------------------------------------------
 
-  /// Attach a trace recorder (nullptr = off) to the cluster and every
-  /// shard service: replay paths then emit kShardRoute / kMerge spans
-  /// (plus kRetry / kReroute / kFailover / kRejoin on the fault-tolerant
-  /// path), and the services emit their execution spans. Attach before
-  /// replaying or start().
-  void set_trace(obs::TraceRecorder* trace);
-
-  /// Attach a metrics registry (nullptr = off) to every shard service,
-  /// and -- when attached before start() -- to each shard's scheduler for
-  /// live latency streaming (labels carry the shard index). The replay
-  /// paths additionally publish their merge/fault stats on completion, so
-  /// one attached registry satisfies every serve conservation rule.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// The three telemetry targets (nullptr = off; attach before replaying
+  /// or start()). Replay paths capture each request's kShardRoute span,
+  /// service spans and serve.service.* ops, and publish the captures in
+  /// log order during the execution phase -- BEFORE transport and merge --
+  /// so the published frame sequence is a pure function of (log,
+  /// configuration): independent of parallelism AND of the transport's
+  /// fault schedule. Coordinator spans (kMerge; plus kShardRoute /
+  /// kRetry / kReroute / kFailover / kRejoin on the fault-tolerant path)
+  /// and failover re-executions fold into the recorder and registry only.
+  /// The replay paths also publish their merge / fault stats into the
+  /// registry on completion, so one attached registry satisfies every
+  /// serve conservation rule. start() attaches all three to every shard
+  /// scheduler, labeled by shard index.
+  void set_trace(obs::TraceRecorder* trace) { targets_.trace = trace; }
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    targets_.metrics = metrics;
+  }
+  void set_stream(obs::TelemetryBus* stream) { targets_.bus = stream; }
 
   /// Publish every shard's admission account and completion counters into
   /// `registry` (per-shard labels), live mode only; no-op before start().
   void publish_metrics(obs::MetricsRegistry& registry) const;
-
-  /// Attach a telemetry bus (nullptr = off). Replay paths then stream
-  /// each request's capture (kShardRoute + the service's spans + metric
-  /// deltas) in log order during the execution phase -- BEFORE transport
-  /// and merge -- so the published frame sequence is a pure function of
-  /// (log, configuration): independent of parallelism AND of the
-  /// transport's fault schedule (coordinator-side kMerge / kRetry /
-  /// kFailover spans are batch metadata of the recovery schedule and
-  /// deliberately do not stream). Live mode forwards the bus to every
-  /// shard scheduler at start(). Attach before replaying or start().
-  void set_stream(obs::TelemetryBus* stream);
 
  private:
   /// Shared census core: attribute each request's lease block to
@@ -364,9 +361,7 @@ class ShardCluster {
   std::unique_ptr<FanInSink> fan_in_;
   bool running_ = false;
   bool live_used_ = false;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TelemetryBus* stream_ = nullptr;
+  obs::TelemetryTargets targets_;
 };
 
 }  // namespace idp::serve

@@ -400,8 +400,6 @@ std::uint64_t obs_digest(std::uint64_t seed, std::size_t parallelism) {
 
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
-  service.set_trace(&trace);
-  service.set_metrics(&metrics);
 
   serve::TrafficSpec traffic;
   traffic.requests = 24;
@@ -412,6 +410,7 @@ std::uint64_t obs_digest(std::uint64_t seed, std::size_t parallelism) {
       serve::synthesize_traffic(traffic, service);
 
   serve::Scheduler scheduler(service);
+  scheduler.attach({.trace = &trace, .metrics = &metrics});
   (void)scheduler.replay(log, parallelism);
 
   test::BitDigest d;
@@ -489,8 +488,6 @@ std::uint64_t stream_digest(std::uint64_t seed, std::size_t parallelism) {
 
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
-  service.set_trace(&trace);
-  service.set_metrics(&metrics);
 
   serve::TrafficSpec traffic;
   traffic.requests = 24;
@@ -517,7 +514,7 @@ std::uint64_t stream_digest(std::uint64_t seed, std::size_t parallelism) {
   const auto lossy = bus.subscribe(lossy_config);
 
   serve::Scheduler scheduler(service);
-  scheduler.set_stream(&bus);
+  scheduler.attach({&trace, &metrics, &bus});
   (void)scheduler.replay(log, parallelism);
   bus.close();
 

@@ -261,6 +261,8 @@ TEST(ShardClusterLive, LiveShardedServingMatchesMergedReplayBitwise) {
       digest_responses(replay_cluster.replay(log, 1).responses);
 
   serve::ShardCluster live(shared_store(), service_config(3), config);
+  obs::MetricsRegistry metrics;
+  live.set_metrics(&metrics);
   const std::string dir = ::testing::TempDir();
   {
     serve::CsvResultSink sink(dir + "/sharded_live_responses.csv",
@@ -273,16 +275,13 @@ TEST(ShardClusterLive, LiveShardedServingMatchesMergedReplayBitwise) {
     EXPECT_EQ(live.completed(), log.size());
   }
 
-  // Cross-shard merged telemetry must account for every request.
-  std::uint64_t telemetry_total = 0;
-  for (std::size_t p = 0; p < serve::kPriorityCount; ++p) {
-    const serve::PriorityTelemetry t =
-        live.telemetry(static_cast<serve::Priority>(p));
-    EXPECT_EQ(t.queue_wait.count(), t.completed);
-    EXPECT_EQ(t.service_time.count(), t.completed);
-    telemetry_total += t.completed;
-  }
-  EXPECT_EQ(telemetry_total, log.size());
+  // The shard-labeled series of the attached registry must account for
+  // every request, with one latency observation per completion.
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  const auto n = static_cast<double>(log.size());
+  EXPECT_EQ(snap.sum("serve.scheduler.completed"), n);
+  EXPECT_EQ(snap.sum("serve.scheduler.queue_wait_s"), n);
+  EXPECT_EQ(snap.sum("serve.scheduler.service_time_s"), n);
 
   // The live cluster's canonical response CSV must be byte-identical to
   // the CSV of the merged replay (the sink sorts by request id at close,

@@ -320,9 +320,8 @@ TEST(MetricsRegistry, LiveSchedulerConservesEveryRequest) {
       serve::synthesize_traffic(spec, service);
 
   obs::MetricsRegistry registry;
-  service.set_metrics(&registry);  // service-level serve.service.* counters
   serve::Scheduler scheduler(service);
-  scheduler.set_metrics(&registry);
+  scheduler.attach({.metrics = &registry});
   scheduler.start();
   std::size_t accepted = 0;
   for (const serve::Request& r : log) {
@@ -355,37 +354,6 @@ TEST(MetricsRegistry, LiveSchedulerConservesEveryRequest) {
       EXPECT_FALSE(r.skipped) << r.rule;
     }
   }
-}
-
-TEST(MetricsRegistry, PublishIntoLiveRegistryNeverDoubleCounts) {
-  // publish_metrics into the SAME registry the scheduler streams into
-  // must use set-semantics (counters) and skip the histogram merge.
-  serve::ServiceConfig config;
-  config.panel = {bio::TargetId::kGlucose};
-  config.engine_seed = 31338;
-  serve::DiagnosticsService service(shared_store(), config);
-
-  serve::TrafficSpec spec;
-  spec.requests = 8;
-  spec.sessions = 2;
-  spec.seed = 6;
-  const std::vector<serve::Request> log =
-      serve::synthesize_traffic(spec, service);
-
-  obs::MetricsRegistry registry;
-  serve::Scheduler scheduler(service);
-  scheduler.set_metrics(&registry);
-  scheduler.start();
-  for (const serve::Request& r : log) (void)scheduler.submit_wait(r);
-  scheduler.drain_and_stop();
-  scheduler.publish_metrics(registry);
-  scheduler.publish_metrics(registry);  // idempotent, not additive
-
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.sum("serve.scheduler.completed"),
-            static_cast<double>(log.size()));
-  EXPECT_EQ(snap.sum("serve.scheduler.queue_wait_s"),
-            static_cast<double>(log.size()));
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 /// a pure function of (log, configuration) -- parallelism-invariant for
 /// Scheduler::replay, fault-schedule-invariant for the cluster -- the
 /// batch trace/metrics surfaces end identical to the non-streaming path,
-/// and a live aggregation subscriber rebuilds the exact end-of-run
-/// MetricsSnapshot.
+/// a live aggregation subscriber rebuilds the exact end-of-run
+/// MetricsSnapshot, and every capture folds exactly once whether or not
+/// a bus is attached (live scheduler accounts, failover re-executions).
 
 #include <gtest/gtest.h>
 
@@ -338,7 +339,7 @@ TEST(TelemetryBus, MidRunHistogramSnapshotIsReportedApproximate) {
 TEST(StreamSequencer, PublishesDepositsInLogOrder) {
   obs::TelemetryBus bus;
   const auto subscriber = bus.subscribe(sub("all"));
-  obs::TelemetryStream stream(bus, nullptr, nullptr);
+  obs::TelemetryStream stream({.bus = &bus});
   obs::StreamSequencer sequencer(stream, 3);
 
   const auto capture_of = [](std::uint64_t key) {
@@ -368,28 +369,37 @@ TEST(TelemetryStream, PublishFoldsIntoBatchSurfacesExactlyOnce) {
   const auto subscriber = bus.subscribe(sub("all"));
   obs::TraceRecorder trace;
   obs::MetricsRegistry registry;
-  obs::TelemetryStream stream(bus, &trace, &registry);
+  obs::TelemetryStream stream({&trace, &registry, &bus});
 
   obs::TelemetryCapture capture;
   capture.tenant = 1;
   capture.span(9, obs::SpanKind::kLeaseGrant);
   capture.span(9, obs::SpanKind::kLeaseGrant);  // duplicate collapses
   capture.count("serve.service.requests", {}, 1);
-  registry.counter("serve.scheduler.completed").add(1);  // applied directly...
-  capture.ops.push_back({obs::MetricType::kCounter, "serve.scheduler.completed",
-                         {}, 1.0, false});  // ...so it streams without folding
+  capture.observe("serve.scheduler.queue_wait_s", {}, 0.25);
   stream.publish(capture);
 
-  EXPECT_EQ(trace.sorted().size(), 1u);
+  EXPECT_EQ(trace.size(), 1u);
   EXPECT_EQ(registry.snapshot().value("serve.service.requests"), 1.0);
-  EXPECT_EQ(registry.snapshot().value("serve.scheduler.completed"), 1.0);
-  // Every op streamed regardless of fold; the duplicate span did not.
+  EXPECT_EQ(registry.snapshot().value("serve.scheduler.queue_wait_s"), 1.0);
+  // One frame per canonical span and per op, spans first.
   EXPECT_EQ(bus.frames_published(), 3u);
   obs::Frame frame;
   ASSERT_TRUE(subscriber->try_pop(frame));
   EXPECT_EQ(frame.type, obs::FrameType::kTraceSpan);
   ASSERT_TRUE(subscriber->try_pop(frame));
   EXPECT_EQ(frame.type, obs::FrameType::kMetricDelta);
+
+  // A bus-less stream folds the same capture into the same surfaces.
+  obs::TraceRecorder folded_trace;
+  obs::MetricsRegistry folded_registry;
+  obs::TelemetryStream fold({.trace = &folded_trace,
+                             .metrics = &folded_registry});
+  fold.publish(capture);
+  EXPECT_EQ(folded_trace.sorted(), trace.sorted());
+  EXPECT_EQ(folded_registry.snapshot().value("serve.service.requests"), 1.0);
+  EXPECT_EQ(folded_registry.snapshot().value("serve.scheduler.queue_wait_s"),
+            1.0);
 }
 
 // --- end-to-end: the streaming serve guarantees ------------------------------
@@ -458,7 +468,7 @@ std::vector<std::uint8_t> drain_bytes(obs::TelemetrySubscriber& subscriber) {
 }
 
 TEST(TelemetryStreaming, ReplayFramesAreParallelismInvariantAndFoldExact) {
-  // Baseline: the non-streaming batch surfaces.
+  // Baseline: the same replay with no bus attached.
   std::uint64_t batch_trace_digest = 0;
   std::string batch_metrics_csv;
   const std::string dir = ::testing::TempDir();
@@ -467,9 +477,8 @@ TEST(TelemetryStreaming, ReplayFramesAreParallelismInvariantAndFoldExact) {
                                       streamed_service_config());
     obs::TraceRecorder trace;
     obs::MetricsRegistry metrics;
-    service.set_trace(&trace);
-    service.set_metrics(&metrics);
     serve::Scheduler scheduler(service);
+    scheduler.attach({.trace = &trace, .metrics = &metrics});
     (void)scheduler.replay(streamed_log(), 1);
     batch_trace_digest = trace_digest(trace.sorted());
     metrics.snapshot().to_csv(dir + "/batch_metrics.csv");
@@ -483,12 +492,10 @@ TEST(TelemetryStreaming, ReplayFramesAreParallelismInvariantAndFoldExact) {
                                       streamed_service_config());
     obs::TraceRecorder trace;
     obs::MetricsRegistry metrics;
-    service.set_trace(&trace);
-    service.set_metrics(&metrics);
     obs::TelemetryBus bus;
     const auto recorder = bus.subscribe(sub("recorder", 1u << 14));
     serve::Scheduler scheduler(service);
-    scheduler.set_stream(&bus);
+    scheduler.attach({&trace, &metrics, &bus});
     (void)scheduler.replay(streamed_log(), parallelism);
     bus.close();
 
@@ -517,12 +524,11 @@ TEST(TelemetryStreaming, ReplayFramesAreParallelismInvariantAndFoldExact) {
 TEST(TelemetryStreaming, LiveAggregatorEqualsEndOfRunSnapshot) {
   serve::DiagnosticsService service(shared_store(), streamed_service_config());
   obs::MetricsRegistry metrics;
-  service.set_metrics(&metrics);
   obs::TelemetryBus bus;
   const auto tiles = bus.subscribe(
       sub("tiles", 1u << 14, obs::OverflowPolicy::kBlock, "metrics/"));
   serve::Scheduler scheduler(service);
-  scheduler.set_stream(&bus);
+  scheduler.attach({.metrics = &metrics, .bus = &bus});
   (void)scheduler.replay(streamed_log(), 0);
   bus.close();
 
@@ -583,7 +589,7 @@ TEST(TelemetryStreaming, LiveModeStreamsAdmissionAndCompletionFrames) {
   scheduler_config.queue.capacity = 64;
   scheduler_config.workers = 2;
   serve::Scheduler scheduler(service, scheduler_config);
-  scheduler.set_stream(&bus);
+  scheduler.attach({.bus = &bus});
   scheduler.start();
   for (const serve::Request& request : streamed_log()) {
     (void)scheduler.submit_wait(request);
@@ -608,6 +614,122 @@ TEST(TelemetryStreaming, LiveModeStreamsAdmissionAndCompletionFrames) {
   EXPECT_EQ(leases, streamed_log().size());
   EXPECT_EQ(queue_waits, streamed_log().size());
   expect_conserved(bus.subscriber_stats()[0], "recorder");
+}
+
+TEST(TelemetryStreaming, LiveSchedulerCountsEveryRequestOnceOnEverySurface) {
+  // Recorder, registry and bus attached at once: each request's capture
+  // publishes once and folds once, so nothing double counts -- on the
+  // registry, on the bus, or when publish_metrics lands in the same
+  // registry the workers fold into.
+  serve::DiagnosticsService service(shared_store(), streamed_service_config());
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  obs::TelemetryBus bus;
+  const auto tiles = bus.subscribe(
+      sub("tiles", 1u << 14, obs::OverflowPolicy::kBlock, "metrics/"));
+  serve::SchedulerConfig scheduler_config;
+  scheduler_config.queue.capacity = 64;
+  scheduler_config.workers = 3;
+  serve::Scheduler scheduler(service, scheduler_config);
+  scheduler.attach({&trace, &metrics, &bus});
+  scheduler.start();
+  for (const serve::Request& request : streamed_log()) {
+    ASSERT_EQ(scheduler.submit_wait(request), serve::Admission::kAccepted);
+  }
+  scheduler.drain_and_stop();
+  bus.close();
+
+  const auto n = static_cast<double>(streamed_log().size());
+  const obs::MetricsSnapshot live = metrics.snapshot();
+  EXPECT_EQ(live.sum("serve.service.requests"), n);
+  EXPECT_EQ(live.sum("serve.scheduler.completed"), n);
+  EXPECT_EQ(live.sum("serve.scheduler.queue_wait_s"), n);
+  EXPECT_EQ(live.sum("serve.scheduler.service_time_s"), n);
+  std::size_t queue_waits = 0;
+  for (const obs::TraceEvent& e : trace.sorted()) {
+    if (e.kind == obs::SpanKind::kQueueWait) ++queue_waits;
+  }
+  EXPECT_EQ(queue_waits, streamed_log().size());
+
+  // A from-the-start aggregator rebuilds exactly what the workers folded.
+  obs::LiveAggregator aggregator;
+  aggregator.run(*tiles);
+  EXPECT_TRUE(aggregator.exact());
+  const std::string dir = ::testing::TempDir();
+  aggregator.snapshot().to_csv(dir + "/live_sched_tiles.csv");
+  live.to_csv(dir + "/live_sched_registry.csv");
+  EXPECT_EQ(slurp(dir + "/live_sched_tiles.csv"),
+            slurp(dir + "/live_sched_registry.csv"));
+
+  // publish_metrics has set semantics: the completion counters it writes
+  // equal the folded ones, and a second call changes nothing.
+  scheduler.publish_metrics(metrics);
+  metrics.snapshot().to_csv(dir + "/live_sched_once.csv");
+  scheduler.publish_metrics(metrics);
+  metrics.snapshot().to_csv(dir + "/live_sched_twice.csv");
+  EXPECT_EQ(slurp(dir + "/live_sched_once.csv"),
+            slurp(dir + "/live_sched_twice.csv"));
+  EXPECT_EQ(metrics.snapshot().sum("serve.scheduler.completed"), n);
+  EXPECT_EQ(metrics.snapshot().sum("serve.scheduler.queue_wait_s"), n);
+  for (const char* file : {"/live_sched_tiles.csv", "/live_sched_registry.csv",
+                           "/live_sched_once.csv", "/live_sched_twice.csv"}) {
+    std::remove((dir + file).c_str());
+  }
+}
+
+TEST(TelemetryStreaming, FailoverFoldIsIdenticalWithAndWithoutABus) {
+  // Failover re-executions and coordinator spans fold through a bus-less
+  // stream; attaching a bus must not change a byte of the recorder or
+  // registry exports.
+  const std::string dir = ::testing::TempDir();
+  const auto run = [&](bool with_bus, const std::string& tag) {
+    serve::ShardClusterConfig cluster_config;
+    cluster_config.router.shards = 2;
+    serve::ShardCluster cluster(shared_store(), streamed_service_config(),
+                                cluster_config);
+    obs::TraceRecorder trace;
+    obs::MetricsRegistry metrics;
+    obs::TelemetryBus bus;
+    (void)bus.subscribe(sub("recorder", 1u << 15));
+    cluster.set_trace(&trace);
+    cluster.set_metrics(&metrics);
+    if (with_bus) cluster.set_stream(&bus);
+
+    test::SimNetConfig net;
+    net.seed = 0xFA11;
+    net.max_delay_ticks = 24;
+    net.duplicate_prob = 0.05;
+    net.drop_prob = 0.02;
+    net.crashes = {{.shard = cluster.route(streamed_log()[0].session),
+                    .from_tick = 5,
+                    .until_tick = 400}};
+    test::SimNetTransport transport(net);
+    const serve::FaultTolerantReplayResult result =
+        cluster.replay_fault_tolerant(streamed_log(), 2, &transport);
+    bus.close();
+
+    std::size_t failed_over = 0;
+    for (std::size_t i = 0; i < streamed_log().size(); ++i) {
+      if (result.executed_by[i] != cluster.route(streamed_log()[i].session)) {
+        ++failed_over;
+      }
+    }
+    EXPECT_GT(failed_over, 0u) << "the crash window never forced a failover";
+    EXPECT_EQ(bus.frames_published() > 0, with_bus);
+
+    trace.to_csv(dir + "/failover_trace_" + tag + ".csv");
+    metrics.snapshot().to_jsonl(dir + "/failover_metrics_" + tag + ".jsonl");
+    const std::string bytes =
+        slurp(dir + "/failover_trace_" + tag + ".csv") +
+        slurp(dir + "/failover_metrics_" + tag + ".jsonl");
+    std::remove((dir + "/failover_trace_" + tag + ".csv").c_str());
+    std::remove((dir + "/failover_metrics_" + tag + ".jsonl").c_str());
+    return bytes;
+  };
+  const std::string bare = run(false, "bare");
+  const std::string streamed = run(true, "bus");
+  EXPECT_FALSE(bare.empty());
+  EXPECT_EQ(bare, streamed) << "attaching a bus changed the folded exports";
 }
 
 }  // namespace

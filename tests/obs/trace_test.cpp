@@ -205,8 +205,8 @@ TEST(TraceRecorder, ReplayTraceIsParallelismInvariant) {
     serve::DiagnosticsService service(shared_store(),
                                       traced_service_config());
     obs::TraceRecorder trace;
-    service.set_trace(&trace);
     serve::Scheduler scheduler(service);
+    scheduler.attach({.trace = &trace});
     (void)scheduler.replay(log, parallelism);
     const std::uint64_t digest = trace_digest(trace.sorted());
     if (parallelism == 1) {

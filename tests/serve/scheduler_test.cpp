@@ -1,9 +1,9 @@
 /// \file scheduler_test.cpp
-/// Direct coverage of serve/scheduler: per-priority telemetry accounts for
-/// every live completion, PriorityTelemetry::merge is the cross-worker /
-/// cross-shard aggregation it claims to be, live-mode CSV output is byte
-/// identical to the replay of the same log, and the lifecycle edges
-/// (drain_and_stop idempotent, restart-after-drain throws, empty replay).
+/// Direct coverage of serve/scheduler: the attached registry accounts for
+/// every live completion per priority (counter + both latency
+/// histograms), live-mode CSV output is byte identical to the replay of
+/// the same log, and the lifecycle edges (drain_and_stop idempotent,
+/// restart-after-drain throws, empty replay).
 
 #include "serve/scheduler.hpp"
 
@@ -65,6 +65,8 @@ TEST(Scheduler, TelemetryAccountsEveryCompletionPerPriority) {
   SchedulerConfig config;
   config.workers = 3;
   Scheduler scheduler(service, config);
+  obs::MetricsRegistry metrics;
+  scheduler.attach({.metrics = &metrics});
   scheduler.start();
   std::array<std::uint64_t, kPriorityCount> expected{};
   for (const Request& r : log) {
@@ -74,48 +76,21 @@ TEST(Scheduler, TelemetryAccountsEveryCompletionPerPriority) {
   scheduler.drain_and_stop();
 
   EXPECT_EQ(scheduler.completed(), log.size());
-  std::uint64_t total = 0;
+  scheduler.publish_metrics(metrics);  // sets the counters it already folded
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  double total = 0.0;
   for (std::size_t p = 0; p < kPriorityCount; ++p) {
-    const PriorityTelemetry t =
-        scheduler.telemetry(static_cast<Priority>(p));
-    EXPECT_EQ(t.completed, expected[p])
+    obs::MetricLabels labels;
+    labels.priority = static_cast<std::int32_t>(p);
+    const auto n = static_cast<double>(expected[p]);
+    EXPECT_EQ(snap.value("serve.scheduler.completed", labels), n)
         << "priority class " << p << " lost completions";
-    EXPECT_EQ(t.queue_wait.count(), expected[p]);
-    EXPECT_EQ(t.service_time.count(), expected[p]);
-    total += t.completed;
+    if (expected[p] == 0) continue;  // no histogram for an idle class
+    EXPECT_EQ(snap.value("serve.scheduler.queue_wait_s", labels), n);
+    EXPECT_EQ(snap.value("serve.scheduler.service_time_s", labels), n);
+    total += snap.value("serve.scheduler.completed", labels);
   }
-  EXPECT_EQ(total, log.size());
-}
-
-TEST(Scheduler, PriorityTelemetryMergeSumsCountsAndHistograms) {
-  PriorityTelemetry a;
-  a.completed = 3;
-  a.queue_wait.add(1e-4);
-  a.queue_wait.add(2e-4);
-  a.queue_wait.add(3e-4);
-  a.service_time.add(5e-3);
-  a.service_time.add(6e-3);
-  a.service_time.add(7e-3);
-
-  PriorityTelemetry b;
-  b.completed = 2;
-  b.queue_wait.add(4e-4);
-  b.queue_wait.add(8e-4);
-  b.service_time.add(1e-2);
-  b.service_time.add(2e-2);
-
-  a.merge(b);
-  EXPECT_EQ(a.completed, 5u);
-  EXPECT_EQ(a.queue_wait.count(), 5u);
-  EXPECT_EQ(a.service_time.count(), 5u);
-  EXPECT_DOUBLE_EQ(a.queue_wait.min(), 1e-4);
-  EXPECT_DOUBLE_EQ(a.queue_wait.max(), 8e-4);
-  EXPECT_DOUBLE_EQ(a.service_time.max(), 2e-2);
-  // Merging an empty account is the identity.
-  const PriorityTelemetry empty;
-  a.merge(empty);
-  EXPECT_EQ(a.completed, 5u);
-  EXPECT_EQ(a.queue_wait.count(), 5u);
+  EXPECT_EQ(total, static_cast<double>(log.size()));
 }
 
 TEST(Scheduler, LiveCsvOutputIsByteIdenticalToReplay) {

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "serve/result_sink.hpp"
@@ -89,15 +92,52 @@ TEST(DiagnosticsService, ValidatesRequestShape) {
   Request panel;
   panel.kind = RequestKind::kPanelScan;
   panel.concentrations_mM = {1.0};  // needs one per channel
-  EXPECT_THROW(service.execute(panel), std::invalid_argument);
-
-  Request read = read_request(0, /*channel=*/5, 1.0);  // out of range
-  EXPECT_THROW(service.execute(read), std::invalid_argument);
-
   Request qc;
   qc.kind = RequestKind::kQcCheck;
   qc.concentrations_mM = {1.0};  // QC levels are config, not content
-  EXPECT_THROW(service.execute(qc), std::invalid_argument);
+  // Non-finite instants and concentrations must never be clamped into a
+  // plausible request (std::max(0.0, NaN) would make NaN a day-0 read).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Request> malformed = {
+      panel,
+      read_request(0, /*channel=*/5, 1.0),  // channel out of range
+      qc,
+      read_request(1, 0, 1.0, /*time_h=*/nan),
+      read_request(2, 0, 1.0, /*time_h=*/inf),
+      read_request(3, 0, 1.0, /*time_h=*/-inf),
+      read_request(4, 0, nan),
+      read_request(5, 0, inf),
+      read_request(6, 0, -0.5),
+      read_request(1ULL << 42, 0, 1.0),  // id past the serve run-id domain
+  };
+  for (const Request& bad : malformed) {
+    EXPECT_THROW(service.execute(bad, nullptr), std::invalid_argument)
+        << "request " << bad.id;
+    Scheduler replayer(service);
+    EXPECT_THROW(replayer.replay(std::span<const Request>(&bad, 1), 1),
+                 std::invalid_argument)
+        << "request " << bad.id;
+  }
+
+  // Live admission rejects in the caller: on a worker the exception would
+  // escape std::thread and terminate the process. Nothing reaches the
+  // queue, and the scheduler keeps serving.
+  Scheduler live(service, SchedulerConfig{.queue = {.capacity = 8},
+                                          .workers = 1});
+  live.start();
+  for (const Request& bad : malformed) {
+    EXPECT_THROW(live.submit(bad), std::invalid_argument)
+        << "request " << bad.id;
+  }
+  EXPECT_THROW(live.submit_wait(malformed[3]), std::invalid_argument);
+  EXPECT_THROW(
+      live.submit_wait_for(malformed[3], std::chrono::milliseconds(1)),
+      std::invalid_argument);
+  EXPECT_EQ(live.queue_stats().offered, 0u);
+  ASSERT_EQ(live.submit_wait(read_request(7, 0, 1.0)), Admission::kAccepted);
+  live.drain_and_stop();
+  EXPECT_EQ(live.completed(), 1u);
 }
 
 TEST(DiagnosticsService, LeasesAreDisjointPerRequest) {
@@ -117,7 +157,8 @@ TEST(DiagnosticsService, QuantifiedReadRecoversTruthWithinCi) {
   DiagnosticsService service(store, test_service_config());
   const auto [lo, hi] = service.calibrated_range_mM(0);
   const double truth = lo + 0.5 * (hi - lo);
-  const Response response = service.execute(read_request(0, 0, truth));
+  const Response response =
+      service.execute(read_request(0, 0, truth), nullptr);
   ASSERT_EQ(response.channels.size(), 1u);
   EXPECT_EQ(response.channels[0].target, bio::TargetId::kGlucose);
   EXPECT_TRUE(response.channels[0].estimate.ok());
@@ -137,7 +178,7 @@ TEST(DiagnosticsService, PanelScanMeasuresEveryChannel) {
   const auto [glo, ghi] = service.calibrated_range_mM(0);
   const auto [llo, lhi] = service.calibrated_range_mM(1);
   panel.concentrations_mM = {0.5 * (glo + ghi), 0.5 * (llo + lhi)};
-  const Response response = service.execute(panel);
+  const Response response = service.execute(panel, nullptr);
   ASSERT_EQ(response.channels.size(), 2u);
   EXPECT_EQ(response.channels[0].target, bio::TargetId::kGlucose);
   EXPECT_EQ(response.channels[1].target, bio::TargetId::kLactate);
@@ -154,7 +195,7 @@ TEST(DiagnosticsService, QcCheckOnPristineSensorHasSmallResiduals) {
   qc.kind = RequestKind::kQcCheck;
   qc.channel = 0;
   qc.session = SessionKey{0, 3, 0};
-  const Response response = service.execute(qc);
+  const Response response = service.execute(qc, nullptr);
   // Standardised residuals of a pristine sensor against its own factory
   // calibration: a few sigma at most.
   EXPECT_LT(std::abs(response.qc_blank_residual), 6.0);
@@ -172,8 +213,10 @@ TEST(DiagnosticsService, RepeatedRequestsReuseWarmSessionState) {
 
   // Two requests beyond the first epoch boundary: the first builds the
   // epoch-1 recalibration, the second reuses it warm.
-  (void)service.execute(read_request(0, 0, mM, /*time_h=*/6.0 * 24.0));
-  (void)service.execute(read_request(1, 0, mM, /*time_h=*/7.0 * 24.0));
+  (void)service.execute(read_request(0, 0, mM, /*time_h=*/6.0 * 24.0),
+                        nullptr);
+  (void)service.execute(read_request(1, 0, mM, /*time_h=*/7.0 * 24.0),
+                        nullptr);
   const RegistryStats stats = service.sessions().stats();
   EXPECT_EQ(stats.sessions, 1u);
   EXPECT_EQ(stats.requests, 2u);
@@ -192,8 +235,10 @@ TEST(DiagnosticsService, EpochResolvesFromSensorAge) {
   EXPECT_EQ(service.epoch_for(20.9), 2u);
   EXPECT_EQ(service.epoch_for(1e6), kServeEpochSlots - 1);  // clamped
 
-  const Response day0 = service.execute(read_request(0, 0, 1.0, 0.0));
-  const Response day8 = service.execute(read_request(1, 0, 1.0, 8.0 * 24.0));
+  const Response day0 =
+      service.execute(read_request(0, 0, 1.0, 0.0), nullptr);
+  const Response day8 =
+      service.execute(read_request(1, 0, 1.0, 8.0 * 24.0), nullptr);
   EXPECT_EQ(day0.calibration_epoch, 0u);
   EXPECT_EQ(day8.calibration_epoch, 1u);
 }
@@ -208,15 +253,15 @@ TEST(DiagnosticsService, ExecuteIsPureInTheReplaySense) {
   {
     quant::CalibrationStore store(campaign);
     DiagnosticsService service(store, test_service_config());
-    first = service.execute(request);
+    first = service.execute(request, nullptr);
   }
   {
     quant::CalibrationStore store(campaign);
     DiagnosticsService service(store, test_service_config());
     // Interleave unrelated traffic before the request this time.
-    (void)service.execute(read_request(5, 0, 2.0));
-    (void)service.execute(read_request(6, 1, 0.9));
-    second = service.execute(request);
+    (void)service.execute(read_request(5, 0, 2.0), nullptr);
+    (void)service.execute(read_request(6, 1, 0.9), nullptr);
+    second = service.execute(request, nullptr);
   }
   EXPECT_TRUE(bitwise_equal(first, second));
 }
@@ -266,6 +311,8 @@ TEST(Scheduler, LiveModeMatchesReplayBitwise) {
     std::vector<Response> responses_;
   } collector;
 
+  obs::MetricsRegistry metrics;
+  scheduler.attach({.metrics = &metrics});
   scheduler.start(&collector);
   for (const Request& r : log) {
     ASSERT_EQ(scheduler.submit_wait(r), Admission::kAccepted);
@@ -279,16 +326,23 @@ TEST(Scheduler, LiveModeMatchesReplayBitwise) {
     EXPECT_TRUE(bitwise_equal(live[i], replayed[i])) << "request " << i;
   }
 
-  // Telemetry accounted every request under its priority class.
-  std::uint64_t accounted = 0;
+  // The attached registry accounted every request under its priority
+  // class, with one latency observation per completion.
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  double accounted = 0.0;
   for (std::size_t p = 0; p < kPriorityCount; ++p) {
-    const PriorityTelemetry t =
-        scheduler.telemetry(static_cast<Priority>(p));
-    accounted += t.completed;
-    EXPECT_EQ(t.queue_wait.count(), t.completed);
-    EXPECT_EQ(t.service_time.count(), t.completed);
+    obs::MetricLabels labels;
+    labels.priority = static_cast<std::int32_t>(p);
+    const obs::MetricSample* completed =
+        snap.find("serve.scheduler.completed", labels);
+    if (completed == nullptr) continue;  // no traffic in this class
+    accounted += completed->value;
+    EXPECT_EQ(snap.value("serve.scheduler.queue_wait_s", labels),
+              completed->value);
+    EXPECT_EQ(snap.value("serve.scheduler.service_time_s", labels),
+              completed->value);
   }
-  EXPECT_EQ(accounted, log.size());
+  EXPECT_EQ(accounted, static_cast<double>(log.size()));
 }
 
 TEST(Scheduler, LiveModeIsOneShot) {
