@@ -48,7 +48,8 @@ struct CypProbeParams {
 };
 
 /// Derive the catalytic turnover kcat [1/s] that produces the requested
-/// peak-current sensitivity for one target (kinetic regime; see DESIGN.md).
+/// peak-current sensitivity for one target (kinetic regime; the derivation
+/// is commented in derive_kcat).
 double derive_kcat(const CypProbeParams& probe, const CypTargetParams& target);
 
 /// Concrete CYP450 film probe (cyclic voltammetry).
@@ -56,6 +57,7 @@ class CypProbe final : public Probe {
  public:
   explicit CypProbe(CypProbeParams params);
 
+  ProbePtr clone() const override { return std::make_unique<CypProbe>(*this); }
   const std::string& name() const override { return params_.isoform; }
   Technique technique() const override { return Technique::kCyclicVoltammetry; }
   double area() const override { return params_.area; }

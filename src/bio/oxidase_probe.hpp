@@ -71,9 +71,10 @@ struct OxidaseProbeParams {
 
 /// Analytic first guess for the volumetric vmax [mol m^-3 s^-1] that yields
 /// the requested steady-state sensitivity (collection efficiency phi from
-/// the membrane geometry; see DESIGN.md section 6). The constructor refines
-/// it numerically because at high loading the Thiele modulus shifts H2O2
-/// generation toward the membrane/bulk interface and collection drops.
+/// the membrane geometry; the derivation is commented in derive_vmax). The
+/// constructor refines it numerically because at high loading the Thiele
+/// modulus shifts H2O2 generation toward the membrane/bulk interface and
+/// collection drops.
 double derive_vmax(const OxidaseProbeParams& p);
 
 /// Concrete oxidase membrane probe (chronoamperometric).
@@ -81,6 +82,9 @@ class OxidaseProbe final : public Probe {
  public:
   explicit OxidaseProbe(OxidaseProbeParams params);
 
+  ProbePtr clone() const override {
+    return std::make_unique<OxidaseProbe>(*this);
+  }
   const std::string& name() const override { return params_.name; }
   Technique technique() const override { return Technique::kChronoamperometry; }
   double area() const override { return params_.area; }

@@ -25,12 +25,23 @@ enum class Technique {
 
 std::string to_string(Technique t);
 
+class Probe;
+using ProbePtr = std::unique_ptr<Probe>;
+
 /// A functionalised working electrode. Implementations own whatever internal
 /// state they need (diffusion fields, surface coverages) and advance it in
 /// lock-step with the measurement engine.
 class Probe {
  public:
   virtual ~Probe() = default;
+
+  /// Deep copy holding exactly this probe's state: calibrated parameters,
+  /// fields, bulk concentrations and applied sensor condition. A clone of a
+  /// never-measured probe is therefore indistinguishable from a fresh
+  /// construction with the same parameters -- without re-running the
+  /// constructor's numeric calibration, which is what lets one calibrated
+  /// prototype serve every measurement (quant::CalibrationStore::prototype).
+  virtual ProbePtr clone() const = 0;
 
   /// Descriptive name, e.g. "glucose oxidase / MWCNT".
   virtual const std::string& name() const = 0;
@@ -82,8 +93,14 @@ class Probe {
   virtual void apply_sensor_state(const fault::SensorState& state) {
     (void)state;
   }
-};
 
-using ProbePtr = std::unique_ptr<Probe>;
+ protected:
+  // Copying goes through clone() only, so a Probe& can never be sliced.
+  Probe() = default;
+  Probe(const Probe&) = default;
+  Probe(Probe&&) = default;
+  Probe& operator=(const Probe&) = default;
+  Probe& operator=(Probe&&) = default;
+};
 
 }  // namespace idp::bio

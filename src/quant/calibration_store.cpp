@@ -1,5 +1,6 @@
 /// \file calibration_store.cpp
-/// Calibration campaign execution and the per-(target, protocol) cache.
+/// Calibration campaign execution, the per-(target, protocol) cache and the
+/// per-target prototype probes.
 
 #include "quant/calibration_store.hpp"
 
@@ -120,7 +121,7 @@ Calibration CalibrationStore::build_calibration(
     const fault::SensorState& sensor, std::uint64_t first_run_id,
     std::uint64_t frontend_seed) const {
   const bio::TargetSpec& spec = bio::spec(target);
-  bio::ProbePtr probe = make_campaign_probe(config_, target);
+  bio::ProbePtr probe = prototype(target).clone();
   afe::AnalogFrontEnd frontend(
       campaign_frontend_config(config_, frontend_seed));
   const std::string name = bio::to_string(target);
@@ -180,17 +181,31 @@ Calibration CalibrationStore::recalibrate(bio::TargetId target,
                                           const sim::ChannelProtocol& protocol,
                                           const fault::SensorState& sensor,
                                           std::uint64_t run_id_block) const {
-  util::require(
-      static_cast<std::uint64_t>(config_.blank_measurements) +
-              static_cast<std::uint64_t>(config_.calibration_points) <
-          kRunsPerCampaignBlock,
-      "campaign exceeds the per-block run-id budget");
+  // The constructor already bounds a campaign to one block, so aligned
+  // blocks are disjoint; a misaligned one could overlap its neighbour.
+  util::require(run_id_block % kRunsPerCampaignBlock == 0,
+                "recalibration run-id block must be a multiple of "
+                "kRunsPerCampaignBlock");
   // The front-end seed derives from the run-id block, so two
   // recalibrations of different sensors (or of one sensor at different
   // ages) never share an electronics noise stream.
   return build_calibration(target, protocol, sensor, run_id_block,
                            config_.seed + 0x5ca1ab1eULL +
                                run_id_block * 0x9e3779b97f4a7c15ULL);
+}
+
+const bio::Probe& CalibrationStore::prototype(bio::TargetId target) const {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = prototypes_.find(target);
+    if (it != prototypes_.end()) return *it->second;
+  }
+  // Build outside the lock (the probe's own calibration is thousands of
+  // physics steps); concurrent builders construct identical probes and the
+  // first insert wins, as in entry().
+  bio::ProbePtr built = make_campaign_probe(config_, target);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return *prototypes_.try_emplace(target, std::move(built)).first->second;
 }
 
 const CalibrationStore::Entry& CalibrationStore::entry(

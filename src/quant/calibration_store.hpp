@@ -46,6 +46,8 @@ struct CampaignConfig {
 };
 
 /// Probe configured exactly as campaigns measure it (area + family gain).
+/// Runs the probe's constructor-time calibration; measurement paths clone
+/// CalibrationStore::prototype instead of calling this per measurement.
 bio::ProbePtr make_campaign_probe(const CampaignConfig& config,
                                   bio::TargetId target);
 
@@ -79,14 +81,15 @@ struct Calibration {
 };
 
 /// Builds and caches calibration curves + quantifiers per
-/// (target, protocol). Thread-safe: lookups lock briefly; campaign runs
+/// (target, protocol), and one calibrated prototype probe per target.
+/// Thread-safe: lookups lock briefly; probe builds and campaign runs
 /// execute outside the lock, and concurrent builders of the same key agree
 /// bitwise (first insert wins). Cached entries have stable addresses.
 class CalibrationStore {
  public:
   /// Run-id block size of one campaign: cached campaigns own block
   /// [target * kRunsPerCampaignBlock, ...), and recalibrate() callers must
-  /// space their blocks by the same stride (validated there).
+  /// align their blocks to the same stride (validated there).
   static constexpr std::uint64_t kRunsPerCampaignBlock = 4096;
 
   explicit CalibrationStore(CampaignConfig config = {});
@@ -112,15 +115,26 @@ class CalibrationStore {
   /// Number of cached (target, protocol) entries.
   std::size_t cached_count() const;
 
+  /// The campaign probe of one target (make_campaign_probe), built once
+  /// per store and never measured. Probe characterisation is a property of
+  /// the functionalised electrode, fixed before deployment, so every
+  /// measurement path -- campaigns, recalibrations, service requests,
+  /// cohort scans -- measures a Probe::clone() of it: bitwise what a fresh
+  /// build would measure, without re-running the probe's numeric
+  /// calibration. Thread-safe: first insert wins, stable address.
+  const bio::Probe& prototype(bio::TargetId target) const;
+
   /// Run a *recalibration* campaign: the same blanks + sweep as a cached
   /// campaign, but measured through a sensor in the given degraded state --
   /// the field-servicing step the adaptive RecalibrationPolicy schedules
   /// when drift detection trips. Results are never cached (they belong to
   /// one sensor at one age). `run_id_block` is the caller-owned run-id
-  /// block (the campaign consumes blank_measurements + calibration_points
-  /// consecutive ids starting at run_id_block + 1, and derives its
-  /// front-end seed from the block), so concurrent recalibrations of
-  /// different sensors stay bitwise deterministic. Thread-safe and const.
+  /// block, a multiple of kRunsPerCampaignBlock (std::invalid_argument
+  /// otherwise): the campaign consumes blank_measurements +
+  /// calibration_points consecutive ids starting at run_id_block + 1, and
+  /// derives its front-end seed from the block, so concurrent
+  /// recalibrations of different sensors stay bitwise deterministic.
+  /// Thread-safe and const.
   Calibration recalibrate(bio::TargetId target,
                           const sim::ChannelProtocol& protocol,
                           const fault::SensorState& sensor,
@@ -130,8 +144,8 @@ class CalibrationStore {
   using Entry = Calibration;
   using Key = std::pair<bio::TargetId, std::string>;
 
-  /// Shared campaign core: blanks + concentration sweep through one probe
-  /// and front end, fitted and inverted (no cache interaction).
+  /// Shared campaign core: blanks + concentration sweep through one clone
+  /// of the target's prototype and one front end, fitted and inverted.
   Calibration build_calibration(bio::TargetId target,
                                 const sim::ChannelProtocol& protocol,
                                 const fault::SensorState& sensor,
@@ -145,8 +159,9 @@ class CalibrationStore {
 
   CampaignConfig config_;
   sim::MeasurementEngine engine_;  ///< used through const _seeded calls only
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  ///< guards cache_ and prototypes_
   std::map<Key, std::unique_ptr<Entry>> cache_;
+  mutable std::map<bio::TargetId, bio::ProbePtr> prototypes_;
 };
 
 }  // namespace idp::quant

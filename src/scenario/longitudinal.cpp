@@ -240,14 +240,17 @@ CohortReport LongitudinalRunner::run(
 
   // Calibrate (or fetch) every channel up front -- outside the patient
   // fan-out, so runs never contend on campaign construction -- and keep
-  // stable pointers into the store's cache.
+  // stable pointers into the store's caches.
   std::vector<sim::ChannelProtocol> protocols;
   std::vector<const quant::Quantifier*> quantifiers;
+  std::vector<const bio::Probe*> prototypes;
   protocols.reserve(n_channels);
   quantifiers.reserve(n_channels);
+  prototypes.reserve(n_channels);
   for (const AnalytePlan& plan : plans) {
     protocols.push_back(quant::default_protocol_for(campaign, plan.target));
     quantifiers.push_back(&store_.quantifier(plan.target, protocols.back()));
+    prototypes.push_back(&store_.prototype(plan.target));
   }
 
   sim::EngineConfig engine_config;
@@ -260,10 +263,11 @@ CohortReport LongitudinalRunner::run(
   report.sample_times_h = config_.sample_times_h;
   report.patients.resize(cohort.size());
 
-  // One job per patient: each owns its probes, front ends and monitoring
-  // state, its timeline runs in order, and every measurement's noise
-  // derives from the global (patient, timepoint, channel) index plus a
-  // per-purpose run-id domain -- deterministic at any parallelism.
+  // One job per patient: each owns its probes (clones of the pristine
+  // prototypes), front ends and monitoring state, its timeline runs in
+  // order, and every measurement's noise derives from the global (patient,
+  // timepoint, channel) index plus a per-purpose run-id domain --
+  // deterministic at any parallelism.
   const sim::BatchRunner runner(config_.parallelism);
   runner.run(cohort.size(), [&](std::size_t p) {
     const VirtualPatient& patient = cohort[p];
@@ -279,7 +283,7 @@ CohortReport LongitudinalRunner::run(
     frontends.reserve(n_channels);
     if (policy.enabled) qc_frontends.reserve(n_channels);
     for (std::size_t c = 0; c < n_channels; ++c) {
-      probes.push_back(quant::make_campaign_probe(campaign, plans[c].target));
+      probes.push_back(prototypes[c]->clone());
       frontends.emplace_back(quant::campaign_frontend_config(
           campaign,
           config_.engine_seed + kFrontEndSeedDomain +

@@ -41,14 +41,16 @@ DiagnosticsService::DiagnosticsService(quant::CalibrationStore& store,
   util::require(config_.recalibration_interval_days >= 0.0,
                 "recalibration interval must be >= 0");
 
-  // Resolve protocols and factory quantifiers up front (building any
-  // missing campaign now), so execute() never touches the store's mutable
-  // cache path.
+  // Resolve protocols, factory quantifiers and prototype probes up front
+  // (building any missing campaign now, which also builds the prototype),
+  // so execute() never touches the store's mutable cache path.
   protocols_.reserve(config_.panel.size());
   factory_.reserve(config_.panel.size());
+  prototypes_.reserve(config_.panel.size());
   for (bio::TargetId target : config_.panel) {
     protocols_.push_back(quant::default_protocol_for(store_.config(), target));
     factory_.push_back(&store_.quantifier(target, protocols_.back()));
+    prototypes_.push_back(&store_.prototype(target));
   }
 }
 
@@ -135,11 +137,11 @@ double DiagnosticsService::measure(Session& session, std::uint32_t channel,
   const fault::SensorState sensor = config_.degradation.state_at(
       age_days, fault::SensorSite{session.site_id(), channel});
 
-  // Every measurement owns a fresh probe and front end seeded from its
-  // leased run id: the price of a probe build per request is what buys
-  // order-independence (persistent probes/front ends would carry noise
-  // and chemistry state from whichever request ran before).
-  bio::ProbePtr probe = quant::make_campaign_probe(store_.config(), target_id);
+  // Every measurement owns a pristine clone of the channel's never-measured
+  // prototype and a front end seeded from its leased run id: that is what
+  // buys order-independence (persistent probes/front ends would carry
+  // noise and chemistry state from whichever request ran before).
+  bio::ProbePtr probe = prototypes_[channel]->clone();
   probe->set_bulk_concentration(bio::to_string(target_id), concentration_mM);
   afe::AnalogFrontEnd frontend(quant::campaign_frontend_config(
       store_.config(), config_.engine_seed + kServeFrontendSeedDomain +

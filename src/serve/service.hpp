@@ -103,8 +103,9 @@ struct ServiceConfig {
 class DiagnosticsService {
  public:
   /// Binds the service to a calibration store. The store provides the
-  /// campaign configuration (how to measure) and the factory quantifiers;
-  /// the constructor builds any missing factory campaigns up front so
+  /// campaign configuration (how to measure), the factory quantifiers and
+  /// the prototype probe every measurement clones; the constructor builds
+  /// any missing factory campaign (and with it the prototype) up front so
   /// serving never pays that cost.
   DiagnosticsService(quant::CalibrationStore& store, ServiceConfig config);
 
@@ -182,6 +183,7 @@ class DiagnosticsService {
   sim::MeasurementEngine engine_;  ///< const seeded calls only
   std::vector<sim::ChannelProtocol> protocols_;
   std::vector<const quant::Quantifier*> factory_;  ///< stable store addresses
+  std::vector<const bio::Probe*> prototypes_;      ///< stable store addresses
   SessionRegistry registry_;
 };
 

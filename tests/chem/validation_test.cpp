@@ -1,5 +1,6 @@
 /// Numerical validation of the reaction-diffusion solver against closed-form
-/// electrochemistry (the DESIGN.md section 6 contracts): Cottrell decay for
+/// electrochemistry (the contracts the probe derivations commented in
+/// bio::derive_vmax and bio::derive_kcat rely on): Cottrell decay for
 /// potential steps and Randles-Sevcik peaks for reversible CV.
 #include <gtest/gtest.h>
 

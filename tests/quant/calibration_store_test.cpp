@@ -1,6 +1,7 @@
 /// \file calibration_store_test.cpp
-/// CalibrationStore semantics: campaign shape, caching, deterministic
-/// parallel builds, and the end-to-end round trip -- simulate a known
+/// CalibrationStore semantics: campaign shape, caching, the shared
+/// prototype probes under concurrent first use, recalibration block
+/// validation, and the end-to-end round trip -- simulate a known
 /// concentration through the measurement engine, quantify it via a
 /// store-built curve, and recover the truth within the propagated
 /// confidence interval across the probe library's linear ranges.
@@ -9,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace idp::quant {
@@ -69,6 +75,55 @@ TEST(CalibrationStore, PrepareDedupesTargets) {
                                            bio::TargetId::kLactate};
   store.prepare(targets, 2);
   EXPECT_EQ(store.cached_count(), 2u);
+}
+
+TEST(CalibrationStore, PrototypeHasOneStableAddressPerTargetUnderRaces) {
+  // Every shard and worker of a cluster shares one store, so the first
+  // prototype() calls race: builders may duplicate work, but all of them
+  // must come back with the one inserted probe per target.
+  const CalibrationStore store(test_config());
+  constexpr std::size_t kThreads = 8;
+  const bio::TargetId targets[] = {bio::TargetId::kGlucose,
+                                   bio::TargetId::kDopamine};
+  std::vector<std::array<const bio::Probe*, 2>> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Alternate the first target so both keys see contended misses.
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t i = (t + k) % 2;
+        seen[t][i] = &store.prototype(targets[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const bio::Probe* expected = &store.prototype(targets[i]);
+    EXPECT_EQ(expected->targets().front(), bio::to_string(targets[i]));
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][i], expected) << "thread " << t << " target " << i;
+    }
+  }
+}
+
+TEST(CalibrationStore, RecalibrateRejectsMisalignedRunIdBlocks) {
+  const CalibrationStore store(test_config());
+  const bio::TargetId target = bio::TargetId::kDopamine;
+  const sim::ChannelProtocol protocol =
+      default_protocol_for(store.config(), target);
+  constexpr std::uint64_t kBlock = CalibrationStore::kRunsPerCampaignBlock;
+  // A block off the stride would overlap its neighbour's run ids.
+  EXPECT_THROW(store.recalibrate(target, protocol, fault::SensorState{},
+                                 3 * kBlock + 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      store.recalibrate(target, protocol, fault::SensorState{}, kBlock / 2),
+      std::invalid_argument);
+  const Calibration aligned = store.recalibrate(
+      target, protocol, fault::SensorState{}, 3 * kBlock);
+  EXPECT_TRUE(aligned.quantifier.valid());
 }
 
 TEST(CalibrationStore, RejectsDegenerateCampaigns) {
