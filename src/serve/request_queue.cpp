@@ -6,6 +6,7 @@
 #include "serve/request_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -149,18 +150,47 @@ Admission RequestQueue::push_wait_for(Request request,
   return admission;
 }
 
-bool RequestQueue::pop(QueuedRequest& out) {
+std::deque<QueuedRequest>& RequestQueue::next_lane_locked() {
+  return *std::find_if(
+      lanes_.begin(), lanes_.end(),
+      [](const std::deque<QueuedRequest>& lane) { return !lane.empty(); });
+}
+
+bool RequestQueue::try_pop(QueuedRequest& out) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (depth_ == 0) return false;
+    std::deque<QueuedRequest>& lane = next_lane_locked();
+    out = std::move(lane.front());
+    lane.pop_front();
+    --depth_;
+  }
+  space_.notify_all();  // heterogeneous waiter predicates; see pop_batch()
+  return true;
+}
+
+std::size_t RequestQueue::pop_batch(std::vector<QueuedRequest>& out,
+                                    std::size_t max_window,
+                                    std::size_t consumers) {
+  util::require(max_window > 0 && consumers > 0,
+                "pop_batch needs a positive window and consumer count");
+  out.clear();
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [this] { return closed_ || depth_ > 0; });
-    if (depth_ == 0) return false;  // closed and drained
-    for (auto& lane : lanes_) {
-      if (lane.empty()) continue;
-      out = std::move(lane.front());
-      lane.pop_front();
-      --depth_;
-      break;
-    }
+    if (depth_ == 0) return 0;  // closed and drained
+    // The first request, plus this consumer's share of the rest of its
+    // class: the window is a prefix of dispatch order that stops at the
+    // class boundary. A stat request always leaves alone -- a window could
+    // only add the other requests' measurements to its service time.
+    std::deque<QueuedRequest>& lane = next_lane_locked();
+    const std::size_t width =
+        lane.front().request.priority == Priority::kStat ? 1 : max_window;
+    const auto n = static_cast<std::ptrdiff_t>(
+        1 + std::min(width - 1, (lane.size() - 1) / consumers));
+    std::move(lane.begin(), lane.begin() + n, std::back_inserter(out));
+    lane.erase(lane.begin(), lane.begin() + n);
+    depth_ -= out.size();
   }
   // notify_all, not notify_one: with a stat reserve the space_ waiters
   // have *heterogeneous* predicates (a freed slot may admit a blocked
@@ -168,23 +198,7 @@ bool RequestQueue::pop(QueuedRequest& out) {
   // land on a waiter whose predicate is still false and strand the one
   // the slot was actually reserved for.
   space_.notify_all();
-  return true;
-}
-
-bool RequestQueue::try_pop(QueuedRequest& out) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (depth_ == 0) return false;
-    for (auto& lane : lanes_) {
-      if (lane.empty()) continue;
-      out = std::move(lane.front());
-      lane.pop_front();
-      --depth_;
-      break;
-    }
-  }
-  space_.notify_all();  // heterogeneous waiter predicates; see pop()
-  return true;
+  return out.size();
 }
 
 void RequestQueue::close() {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <vector>
 
 #include "serve/request.hpp"
 
@@ -133,13 +134,25 @@ class RequestQueue {
   /// polling loops.
   Admission push_wait_for(Request request, std::chrono::nanoseconds timeout);
 
-  /// Blocking dispatch: pops the oldest request of the highest non-empty
-  /// priority class. Returns false when the queue is closed *and* drained
-  /// (a closed queue still hands out everything it accepted).
-  bool pop(QueuedRequest& out);
-
-  /// Non-blocking dispatch.
+  /// Non-blocking dispatch of the next request in dispatch order.
   bool try_pop(QueuedRequest& out);
+
+  /// Blocking dispatch for `consumers` workers sharing this queue: replaces
+  /// `out` with the next window in dispatch order. Blocks for the first
+  /// request -- the oldest of the highest non-empty priority class -- then,
+  /// under the same lock and without waiting, takes up to
+  /// min(max_window - 1, floor(remaining requests of that class /
+  /// consumers)) more of the same class. A window never mixes classes, and
+  /// a stat request is always a window of one, so its service time is one
+  /// request's. The depth rule keeps a window from taking work an idle peer
+  /// would start at once: a lightly loaded class dispatches windows of one,
+  /// a backlogged one fills whole windows. One lock, one notification.
+  /// Returns the window size; 0 when the queue is closed *and* drained (a
+  /// closed queue still hands out everything it accepted). `max_window`
+  /// and `consumers` must be > 0; pop_batch(out, 1, 1) dispatches one
+  /// request at a time.
+  std::size_t pop_batch(std::vector<QueuedRequest>& out,
+                        std::size_t max_window, std::size_t consumers);
 
   /// Close the queue: subsequent pushes reject with kRejectedClosed,
   /// blocked pushers wake and reject, pops drain the remaining requests.
@@ -161,6 +174,8 @@ class RequestQueue {
   /// Overload rule: above its watermark, a class sheds instead of queueing.
   bool should_shed_locked(Priority priority) const;
   Admission push_locked(Request&& request);
+  /// The highest-priority non-empty lane; requires depth_ > 0.
+  std::deque<QueuedRequest>& next_lane_locked();
 
   RequestQueueConfig config_;
   mutable std::mutex mutex_;

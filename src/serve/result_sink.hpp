@@ -33,7 +33,10 @@ struct RequestTelemetry {
   Priority priority = Priority::kRoutine;
   RequestKind kind = RequestKind::kQuantifiedRead;
   double queue_wait_s = 0.0;    ///< enqueue -> dispatch
-  double service_time_s = 0.0;  ///< dispatch -> response
+  /// Dispatch -> response. A live worker executes its dequeued window in
+  /// one pass, so for a windowed request this is the whole window's wall
+  /// time, shared by every request in it.
+  double service_time_s = 0.0;
   std::uint32_t calibration_epoch = 0;
   std::uint32_t flags = 0;  ///< OR of the response's QuantFlag bits
 };

@@ -4,7 +4,9 @@
 
 #include "serve/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "sim/batch.hpp"
@@ -23,22 +25,29 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 void replay_captured(
-    std::size_t count, std::size_t parallelism, obs::TelemetryStream* sink,
-    const std::function<void(std::size_t, obs::TelemetryCapture*)>& execute) {
+    std::size_t count, std::size_t window, std::size_t parallelism,
+    obs::TelemetryStream* sink,
+    const std::function<void(std::size_t,
+                             std::span<obs::TelemetryCapture* const>)>&
+        execute) {
+  util::require(window > 0, "replay window must be > 0");
+  // Each request's telemetry records into a private capture while its
+  // window executes, and captures publish in log order through the
+  // sequencer -- the published per-topic frame sequence is a pure function
+  // of (log, configuration), independent of window and parallelism.
+  std::optional<obs::StreamSequencer> sequencer;
+  if (sink != nullptr) sequencer.emplace(*sink, count);
   const sim::BatchRunner runner(parallelism);
-  if (sink == nullptr) {
-    runner.run(count, [&](std::size_t i) { execute(i, nullptr); });
-    return;
-  }
-  // Each request's telemetry records into a private capture while it
-  // executes, and captures publish in log order through the sequencer --
-  // the published per-topic frame sequence is a pure function of (log,
-  // configuration), independent of parallelism.
-  obs::StreamSequencer sequencer(*sink, count);
-  runner.run(count, [&](std::size_t i) {
-    obs::TelemetryCapture capture;
-    execute(i, &capture);
-    sequencer.deposit(i, std::move(capture));
+  runner.run((count + window - 1) / window, [&](std::size_t job) {
+    const std::size_t begin = job * window;
+    const std::size_t n = std::min(window, count - begin);
+    std::vector<obs::TelemetryCapture> captures(sequencer ? n : 0);
+    std::vector<obs::TelemetryCapture*> slots(n, nullptr);
+    for (std::size_t k = 0; k < captures.size(); ++k) slots[k] = &captures[k];
+    execute(begin, slots);
+    for (std::size_t k = 0; k < captures.size(); ++k) {
+      sequencer->deposit(begin + k, std::move(captures[k]));
+    }
   });
 }
 
@@ -57,11 +66,15 @@ std::vector<Response> Scheduler::replay(std::span<const Request> log,
   // executes, and each response writes to its pre-assigned slot -- the
   // BatchRunner contract, extended to the service layer.
   std::vector<Response> responses(log.size());
-  replay_captured(log.size(), parallelism,
-                  telemetry_ ? &*telemetry_ : nullptr,
-                  [&](std::size_t i, obs::TelemetryCapture* capture) {
-                    responses[i] = service_.execute(log[i], capture);
-                  });
+  replay_captured(
+      log.size(), service_.lane_width(), parallelism,
+      telemetry_ ? &*telemetry_ : nullptr,
+      [&](std::size_t begin, std::span<obs::TelemetryCapture* const> captures) {
+        std::vector<Response> window =
+            service_.execute(log.subspan(begin, captures.size()), captures);
+        std::move(window.begin(), window.end(),
+                  responses.begin() + static_cast<std::ptrdiff_t>(begin));
+      });
   return responses;
 }
 
@@ -155,49 +168,65 @@ void Scheduler::publish_metrics(obs::MetricsRegistry& registry,
 }
 
 void Scheduler::worker_loop() {
-  QueuedRequest item;
-  while (queue_.pop(item)) {
+  const std::size_t width = service_.lane_width();
+  std::vector<QueuedRequest> items;
+  std::vector<Request> window;
+  std::vector<obs::TelemetryCapture> captures;
+  std::vector<obs::TelemetryCapture*> slots;
+  while (queue_.pop_batch(items, width, config_.workers) > 0) {
     const auto dispatched = std::chrono::steady_clock::now();
-    const double queue_wait = seconds_between(item.enqueued_at, dispatched);
+    const std::size_t n = items.size();
+    window.clear();
+    for (QueuedRequest& item : items) window.push_back(std::move(item.request));
+    captures.assign(telemetry_ ? n : 0, obs::TelemetryCapture{});
+    slots.assign(captures.size(), nullptr);
+    for (std::size_t i = 0; i < captures.size(); ++i) slots[i] = &captures[i];
 
-    obs::TelemetryCapture capture;
-    const Response response =
-        service_.execute(item.request, telemetry_ ? &capture : nullptr);
+    const std::vector<Response> responses = service_.execute(window, slots);
 
+    // One pass served the whole window, so its wall time is every
+    // request's service time.
     const double service_time =
         seconds_between(dispatched, std::chrono::steady_clock::now());
 
-    RequestTelemetry telemetry;
-    telemetry.request_id = response.request_id;
-    telemetry.priority = response.priority;
-    telemetry.kind = response.kind;
-    telemetry.queue_wait_s = queue_wait;
-    telemetry.service_time_s = service_time;
-    telemetry.calibration_epoch = response.calibration_epoch;
-    telemetry.flags = static_cast<std::uint32_t>(response.flags());
+    for (std::size_t i = 0; i < n; ++i) {
+      const Response& response = responses[i];
+      const double queue_wait =
+          seconds_between(items[i].enqueued_at, dispatched);
+      RequestTelemetry telemetry;
+      telemetry.request_id = response.request_id;
+      telemetry.priority = response.priority;
+      telemetry.kind = response.kind;
+      telemetry.queue_wait_s = queue_wait;
+      telemetry.service_time_s = service_time;
+      telemetry.calibration_epoch = response.calibration_epoch;
+      telemetry.flags = static_cast<std::uint32_t>(response.flags());
 
-    const auto lane = static_cast<std::size_t>(response.priority);
-    {
-      const std::lock_guard<std::mutex> lock(completed_mutex_);
-      ++completed_[lane];
-    }
-    if (telemetry_) {
-      // The wall-clock account rides in the request's capture. The
-      // kQueueWait span's `value` is wall seconds, the one deliberate
-      // exception to the pure-function field contract (live mode only).
-      obs::MetricLabels labels;
-      labels.shard = shard_;
-      labels.priority = static_cast<std::int32_t>(lane);
-      capture.count("serve.scheduler.completed", labels);
-      capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait);
-      capture.observe("serve.scheduler.service_time_s", labels, service_time);
-      capture.span(response.request_id, obs::SpanKind::kQueueWait, lane, 0, 0,
-                   response.time_h, queue_wait);
-      telemetry_->publish(capture);
-    }
-    if (sink_ != nullptr) {
-      sink_->on_response(response);
-      sink_->on_telemetry(telemetry);
+      const auto lane = static_cast<std::size_t>(response.priority);
+      {
+        const std::lock_guard<std::mutex> lock(completed_mutex_);
+        ++completed_[lane];
+      }
+      if (telemetry_) {
+        // The wall-clock account rides in the request's capture. The
+        // kQueueWait span's `value` is wall seconds, the one deliberate
+        // exception to the pure-function field contract (live mode only).
+        obs::TelemetryCapture& capture = captures[i];
+        obs::MetricLabels labels;
+        labels.shard = shard_;
+        labels.priority = static_cast<std::int32_t>(lane);
+        capture.count("serve.scheduler.completed", labels);
+        capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait);
+        capture.observe("serve.scheduler.service_time_s", labels,
+                        service_time);
+        capture.span(response.request_id, obs::SpanKind::kQueueWait, lane, 0,
+                     0, response.time_h, queue_wait);
+        telemetry_->publish(capture);
+      }
+      if (sink_ != nullptr) {
+        sink_->on_response(response);
+        sink_->on_telemetry(telemetry);
+      }
     }
   }
 }

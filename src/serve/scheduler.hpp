@@ -4,13 +4,15 @@
 /// execution modes share one guarantee -- the response payload of request
 /// r depends only on r, because the run-id lease is r's alone:
 ///
-/// - replay(log, parallelism): execute a recorded request log with every
-///   response written to its pre-assigned slot, fanned out over
-///   sim::BatchRunner. Bitwise identical at parallelism 1 / N / hardware,
-///   and bitwise identical to what live mode produced for the same log
-///   (the serve workload of tests/determinism pins this).
-/// - start()/submit()/drain_and_stop(): live mode. Worker threads pop the
-///   bounded priority RequestQueue, execute, and feed responses plus
+/// - replay(log, parallelism): execute a recorded request log in windows
+///   of consecutive requests with every response written to its
+///   pre-assigned slot, fanned out over sim::BatchRunner. Bitwise identical
+///   at parallelism 1 / N / hardware, and bitwise identical to what live
+///   mode produced for the same log (the serve workload of
+///   tests/determinism pins this).
+/// - start()/submit()/drain_and_stop(): live mode. Worker threads pop
+///   windows from the bounded priority RequestQueue, execute each as one
+///   DiagnosticsService::execute window, and feed responses plus
 ///   wall-clock telemetry (queue wait, service time) to a ResultSink and
 ///   the attached telemetry targets. Admission control is the caller's
 ///   choice per request: submit() rejects when full (open-loop load
@@ -45,16 +47,22 @@ struct SchedulerConfig {
   std::size_t workers = 0;
 };
 
-/// The replay execution path shared by Scheduler and ShardCluster: runs
-/// `execute(i, capture)` for every log slot over one sim::BatchRunner
-/// (parallelism 0 = hardware, 1 = inline). With a `sink`, each slot
-/// records into a private capture that publishes in log order through an
-/// obs::StreamSequencer, so the published frames and the folded recorder
-/// and registry are the same at any parallelism; without one, `capture`
-/// is null and telemetry is off.
+/// The replay execution path shared by Scheduler and ShardCluster: splits
+/// the log into windows of `window` consecutive indices and runs
+/// `execute(begin, captures)` -- which executes log indices [begin, begin +
+/// captures.size()) -- for each window as one sim::BatchRunner job
+/// (parallelism 0 = hardware, 1 = inline). With a `sink`, each index
+/// records into a private capture that deposits per index into an
+/// obs::StreamSequencer, so captures still publish in log order and the
+/// published frames and the folded recorder and registry are the same at
+/// any window and parallelism; without one, every capture slot is null and
+/// telemetry is off. An exception propagates as the lowest-index job's.
 void replay_captured(
-    std::size_t count, std::size_t parallelism, obs::TelemetryStream* sink,
-    const std::function<void(std::size_t, obs::TelemetryCapture*)>& execute);
+    std::size_t count, std::size_t window, std::size_t parallelism,
+    obs::TelemetryStream* sink,
+    const std::function<void(std::size_t,
+                             std::span<obs::TelemetryCapture* const>)>&
+        execute);
 
 class Scheduler {
  public:
@@ -70,7 +78,9 @@ class Scheduler {
 
   // --- replay mode ----------------------------------------------------------
 
-  /// Execute a recorded log; responses land in log order. parallelism 0 =
+  /// Execute a recorded log in windows of the service's lane width
+  /// (consecutive log indices, one DiagnosticsService::execute window per
+  /// BatchRunner job); responses land in log order. parallelism 0 =
   /// hardware concurrency, 1 = sequential inline. Independent of live
   /// mode and of the queue.
   std::vector<Response> replay(std::span<const Request> log,
@@ -78,10 +88,15 @@ class Scheduler {
 
   // --- live mode ------------------------------------------------------------
 
-  /// Launch the worker threads. `sink` (optional) receives every response
-  /// and telemetry record; it must outlive drain_and_stop(). Live mode is
-  /// one-shot per Scheduler: starting again after drain_and_stop throws
-  /// (the queue closed permanently; construct a fresh Scheduler instead).
+  /// Launch the worker threads. Each worker takes a window from the queue
+  /// (RequestQueue::pop_batch: one priority class, stat requests alone, up
+  /// to the service's lane width, sized by the depth rule so an idle peer
+  /// is never starved), executes it as one DiagnosticsService::execute
+  /// window, then publishes each request's capture and sink callbacks in
+  /// pop order. `sink` (optional) receives every response and telemetry
+  /// record; it must outlive drain_and_stop(). Live mode is one-shot per
+  /// Scheduler: starting again after drain_and_stop throws (the queue
+  /// closed permanently; construct a fresh Scheduler instead).
   void start(ResultSink* sink = nullptr);
 
   /// Non-blocking admission (explicit reject when full). Every submit path

@@ -1,6 +1,7 @@
 /// \file service.cpp
 /// DiagnosticsService implementation: run-id leasing, epoch resolution,
-/// warm recalibration campaigns and the per-request measurement path.
+/// warm recalibration campaigns and the windowed plan / measure / finish
+/// execution path.
 
 #include "serve/service.hpp"
 
@@ -130,52 +131,81 @@ const quant::Quantifier& DiagnosticsService::quantifier_for(
   return quantifier;
 }
 
-double DiagnosticsService::measure(Session& session, std::uint32_t channel,
-                                   double age_days, double concentration_mM,
-                                   std::uint64_t run_id) const {
-  const bio::TargetId target_id = config_.panel[channel];
-  const fault::SensorState sensor = config_.degradation.state_at(
-      age_days, fault::SensorSite{session.site_id(), channel});
-
+void DiagnosticsService::measure(std::span<PlannedRun> runs) const {
   // Every measurement owns a pristine clone of the channel's never-measured
   // prototype and a front end seeded from its leased run id: that is what
   // buys order-independence (persistent probes/front ends would carry
-  // noise and chemistry state from whichever request ran before).
-  bio::ProbePtr probe = prototypes_[channel]->clone();
-  probe->set_bulk_concentration(bio::to_string(target_id), concentration_mM);
-  afe::AnalogFrontEnd frontend(quant::campaign_frontend_config(
-      store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
-                           run_id * kServeSeedStride));
-  const sim::Channel sim_channel{probe.get(), nullptr, sensor};
-
-  const sim::ChannelProtocol& protocol = protocols_[channel];
-  if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-    const auto& p = std::get<sim::ChronoamperometryProtocol>(protocol);
-    const sim::Trace trace =
-        engine_.run_chronoamperometry_seeded(run_id, sim_channel, p, frontend);
-    return quant::panel_response(target_id, trace, sim::CvCurve{});
+  // noise and chemistry state from whichever request ran before), and it
+  // is also why lane membership cannot leak into a result.
+  const std::size_t n = runs.size();
+  std::vector<bio::ProbePtr> probes(n);
+  std::vector<afe::AnalogFrontEnd> frontends;
+  frontends.reserve(n);  // stable addresses for the lane kernel
+  std::vector<afe::AnalogFrontEnd*> frontend_of(n);
+  std::vector<std::uint64_t> run_ids(n);
+  std::vector<sim::Channel> channels(n);
+  std::vector<sim::ChannelProtocol> protocols(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PlannedRun& run = runs[i];
+    probes[i] = prototypes_[run.channel]->clone();
+    probes[i]->set_bulk_concentration(
+        bio::to_string(config_.panel[run.channel]), run.concentration_mM);
+    frontend_of[i] = &frontends.emplace_back(quant::campaign_frontend_config(
+        store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
+                             run.run_id * kServeSeedStride));
+    run_ids[i] = run.run_id;
+    channels[i] = sim::Channel{
+        probes[i].get(), nullptr,
+        config_.degradation.state_at(
+            run.age_days, fault::SensorSite{run.site, run.channel})};
+    protocols[i] = protocols_[run.channel];
   }
-  const auto& p = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-  const sim::CvCurve curve =
-      engine_.run_cyclic_voltammetry_seeded(run_id, sim_channel, p, frontend);
-  return quant::panel_response(target_id, sim::Trace{}, curve);
+
+  for (const std::vector<std::size_t>& group :
+       engine_.lane_groups(channels, protocols)) {
+    if (group.size() == 1) {
+      PlannedRun& run = runs[group.front()];
+      const std::size_t i = group.front();
+      const bio::TargetId target_id = config_.panel[run.channel];
+      if (const auto* ca =
+              std::get_if<sim::ChronoamperometryProtocol>(&protocols[i])) {
+        run.response = quant::panel_response(
+            target_id,
+            engine_.run_chronoamperometry_seeded(run.run_id, channels[i], *ca,
+                                                 frontends[i]),
+            sim::CvCurve{});
+      } else {
+        run.response = quant::panel_response(
+            target_id, sim::Trace{},
+            engine_.run_cyclic_voltammetry_seeded(
+                run.run_id, channels[i],
+                std::get<sim::CyclicVoltammetryProtocol>(protocols[i]),
+                frontends[i]));
+      }
+      continue;
+    }
+    const std::vector<sim::Trace> traces = engine_.run_lane_group(
+        group, run_ids, channels, protocols, frontend_of);
+    for (std::size_t l = 0; l < group.size(); ++l) {
+      PlannedRun& run = runs[group[l]];
+      run.response = quant::panel_response(config_.panel[run.channel],
+                                           traces[l], sim::CvCurve{});
+    }
+  }
 }
 
-ChannelResult DiagnosticsService::run_channel(Session& session,
-                                              std::uint32_t channel,
-                                              std::uint32_t epoch,
-                                              double age_days,
-                                              double concentration_mM,
-                                              std::uint64_t run_id,
-                                              obs::TelemetryCapture* capture) {
+ChannelResult DiagnosticsService::quantify(Session& session,
+                                           std::uint32_t channel,
+                                           std::uint32_t epoch,
+                                           double truth_mM, double response,
+                                           obs::TelemetryCapture* capture) {
   ChannelResult result;
   result.channel = channel;
   result.target = config_.panel[channel];
-  result.truth_mM = concentration_mM;
-  result.response =
-      measure(session, channel, age_days, concentration_mM, run_id);
-  result.estimate = quantifier_for(session, channel, epoch, capture)
-                        .quantify(result.response);
+  result.truth_mM = truth_mM;
+  result.response = response;
+  result.estimate =
+      quantifier_for(session, channel, epoch, capture).quantify(response);
   return result;
 }
 
@@ -235,93 +265,166 @@ void DiagnosticsService::validate(const Request& request) const {
   (void)lease_base(request.id);  // throws past the serve run-id domain
 }
 
+namespace {
+
+/// Phase-1 resolution of one request of a window.
+struct RequestPlan {
+  Session* session = nullptr;
+  double age_days = 0.0;
+  std::uint32_t epoch = 0;
+  std::uint64_t lease = 0;
+  std::size_t first_run = 0;  ///< index of its first planned run
+  /// QC checks: the active quantifier and the standard level it implies.
+  const quant::Quantifier* qc_quantifier = nullptr;
+  double qc_mM = 0.0;
+};
+
+}  // namespace
+
+std::vector<Response> DiagnosticsService::execute(
+    std::span<const Request> window,
+    std::span<obs::TelemetryCapture* const> captures) {
+  util::require(captures.empty() || captures.size() == window.size(),
+                "one capture slot per request (or none)");
+  for (const Request& request : window) validate(request);
+  const auto capture_of = [&](std::size_t i) {
+    return captures.empty() ? nullptr : captures[i];
+  };
+  const auto n_channels = static_cast<std::uint32_t>(config_.panel.size());
+
+  // Phase 1: plan. Each request's capture receives its first ops here, in
+  // the order a window of one emits them.
+  std::vector<RequestPlan> plans(window.size());
+  std::vector<PlannedRun> runs;
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const Request& request = window[i];
+    obs::TelemetryCapture* capture = capture_of(i);
+    RequestPlan& plan = plans[i];
+    plan.session = &registry_.get_or_create(request.session);
+    plan.session->note_request();
+    plan.age_days =
+        std::max(0.0, (request.time_h - config_.sensor_install_h) / 24.0);
+    plan.epoch = epoch_for(plan.age_days);
+    plan.lease = lease_base(request.id);
+    plan.first_run = runs.size();
+
+    if (capture != nullptr) {
+      obs::MetricLabels labels;
+      labels.tenant = static_cast<std::int32_t>(request.session.tenant);
+      labels.priority = static_cast<std::int32_t>(request.priority);
+      capture->tenant = labels.tenant;
+      capture->span(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0, 0,
+                    request.time_h, static_cast<double>(plan.epoch));
+      capture->count("serve.service.requests", labels);
+    }
+
+    const std::uint64_t site = plan.session->site_id();
+    switch (request.kind) {
+      case RequestKind::kPanelScan:
+        for (std::uint32_t c = 0; c < n_channels; ++c) {
+          runs.push_back({c, site, plan.age_days,
+                          request.concentrations_mM[c], plan.lease + c});
+        }
+        break;
+      case RequestKind::kQuantifiedRead:
+        runs.push_back({request.channel, site, plan.age_days,
+                        request.concentrations_mM[0], plan.lease});
+        break;
+      case RequestKind::kQcCheck: {
+        // A blank and the channel's known standard through the aged
+        // sensor; the standard level comes from the active calibration.
+        const quant::Quantifier& quantifier =
+            quantifier_for(*plan.session, request.channel, plan.epoch, capture);
+        plan.qc_quantifier = &quantifier;
+        plan.qc_mM = quantifier.c_low() + config_.qc_fraction *
+                                              (quantifier.c_high() -
+                                               quantifier.c_low());
+        runs.push_back(
+            {request.channel, site, plan.age_days, 0.0, plan.lease});
+        runs.push_back(
+            {request.channel, site, plan.age_days, plan.qc_mM, plan.lease + 1});
+        break;
+      }
+    }
+  }
+
+  // Phase 2: measure the whole window.
+  measure(runs);
+
+  // Phase 3: quantify and emit per request.
+  std::vector<Response> responses(window.size());
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const Request& request = window[i];
+    const RequestPlan& plan = plans[i];
+    obs::TelemetryCapture* capture = capture_of(i);
+    Session& session = *plan.session;
+    const PlannedRun* run = runs.data() + plan.first_run;
+
+    Response& response = responses[i];
+    response.request_id = request.id;
+    response.session = request.session;
+    response.priority = request.priority;
+    response.kind = request.kind;
+    response.time_h = request.time_h;
+    response.sensor_age_days = plan.age_days;
+    response.calibration_epoch = plan.epoch;
+
+    switch (request.kind) {
+      case RequestKind::kPanelScan: {
+        response.channels.reserve(n_channels);
+        for (std::uint32_t c = 0; c < n_channels; ++c) {
+          response.channels.push_back(quantify(session, c, plan.epoch,
+                                               request.concentrations_mM[c],
+                                               run[c].response, capture));
+          note_run(request, c, c, plan.lease + c, capture);
+          note_estimate(request, c, response.channels.back().estimate.value,
+                        capture);
+        }
+        break;
+      }
+      case RequestKind::kQuantifiedRead: {
+        response.channels.push_back(quantify(session, request.channel,
+                                             plan.epoch,
+                                             request.concentrations_mM[0],
+                                             run[0].response, capture));
+        note_run(request, request.channel, 0, plan.lease, capture);
+        note_estimate(request, request.channel,
+                      response.channels.back().estimate.value, capture);
+        break;
+      }
+      case RequestKind::kQcCheck: {
+        // Both readings standardised against the active calibration's
+        // prediction -- the service-layer counterpart of the scenario QC
+        // loop.
+        const quant::Quantifier& quantifier = *plan.qc_quantifier;
+        const double sigma = std::max(quantifier.response_sigma(), 1e-15);
+        response.qc_blank_residual =
+            (run[0].response - quantifier.blank_mean()) / sigma;
+        ChannelResult standard =
+            quantify(session, request.channel, plan.epoch, plan.qc_mM,
+                     run[1].response, capture);
+        response.qc_standard_residual =
+            (standard.response -
+             util::evaluate(quantifier.fit(), plan.qc_mM)) /
+            sigma;
+        const double standard_estimate = standard.estimate.value;
+        response.channels.push_back(std::move(standard));
+        note_run(request, request.channel, 0, plan.lease, capture);  // blank
+        note_run(request, request.channel, 1, plan.lease + 1,
+                 capture);  // standard
+        note_estimate(request, request.channel, standard_estimate, capture);
+        break;
+      }
+    }
+  }
+  return responses;
+}
+
 Response DiagnosticsService::execute(const Request& request,
                                      obs::TelemetryCapture* capture) {
-  validate(request);
-  const std::size_t n_channels = config_.panel.size();
-
-  Session& session = registry_.get_or_create(request.session);
-  session.note_request();
-
-  const double age_days =
-      std::max(0.0, (request.time_h - config_.sensor_install_h) / 24.0);
-  const std::uint32_t epoch = epoch_for(age_days);
-  const std::uint64_t lease = lease_base(request.id);
-
-  if (capture != nullptr) {
-    obs::MetricLabels labels;
-    labels.tenant = static_cast<std::int32_t>(request.session.tenant);
-    labels.priority = static_cast<std::int32_t>(request.priority);
-    capture->tenant = labels.tenant;
-    capture->span(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
-                  request.time_h, static_cast<double>(epoch));
-    capture->count("serve.service.requests", labels);
-  }
-
-  Response response;
-  response.request_id = request.id;
-  response.session = request.session;
-  response.priority = request.priority;
-  response.kind = request.kind;
-  response.time_h = request.time_h;
-  response.sensor_age_days = age_days;
-  response.calibration_epoch = epoch;
-
-  switch (request.kind) {
-    case RequestKind::kPanelScan: {
-      response.channels.reserve(n_channels);
-      for (std::uint32_t c = 0; c < n_channels; ++c) {
-        response.channels.push_back(run_channel(
-            session, c, epoch, age_days, request.concentrations_mM[c],
-            lease + c, capture));
-        note_run(request, c, c, lease + c, capture);
-        note_estimate(request, c, response.channels.back().estimate.value,
-                      capture);
-      }
-      break;
-    }
-    case RequestKind::kQuantifiedRead: {
-      response.channels.push_back(run_channel(session, request.channel, epoch,
-                                              age_days,
-                                              request.concentrations_mM[0],
-                                              lease, capture));
-      note_run(request, request.channel, 0, lease, capture);
-      note_estimate(request, request.channel,
-                    response.channels.back().estimate.value, capture);
-      break;
-    }
-    case RequestKind::kQcCheck: {
-      // A blank and the channel's known standard through the aged sensor,
-      // standardised against the active calibration's prediction -- the
-      // service-layer counterpart of the scenario QC loop.
-      const quant::Quantifier& quantifier =
-          quantifier_for(session, request.channel, epoch, capture);
-      const double qc_mM =
-          quantifier.c_low() +
-          config_.qc_fraction * (quantifier.c_high() - quantifier.c_low());
-      const double sigma = std::max(quantifier.response_sigma(), 1e-15);
-
-      const double r_blank =
-          measure(session, request.channel, age_days, 0.0, lease);
-      response.qc_blank_residual =
-          (r_blank - quantifier.blank_mean()) / sigma;
-
-      ChannelResult standard = run_channel(session, request.channel, epoch,
-                                           age_days, qc_mM, lease + 1,
-                                           capture);
-      response.qc_standard_residual =
-          (standard.response -
-           util::evaluate(quantifier.fit(), qc_mM)) /
-          sigma;
-      const double standard_estimate = standard.estimate.value;
-      response.channels.push_back(std::move(standard));
-      note_run(request, request.channel, 0, lease, capture);      // blank
-      note_run(request, request.channel, 1, lease + 1, capture);  // standard
-      note_estimate(request, request.channel, standard_estimate, capture);
-      break;
-    }
-  }
-  return response;
+  return std::move(execute(std::span<const Request>(&request, 1),
+                           std::span<obs::TelemetryCapture* const>(&capture, 1))
+                       .front());
 }
 
 }  // namespace idp::serve

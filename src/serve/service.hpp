@@ -130,20 +130,47 @@ class DiagnosticsService {
   /// bad request fails in the caller instead of on a worker thread.
   void validate(const Request& request) const;
 
-  /// Execute one request. Pure in the determinism sense (see file
-  /// comment); mutates only the session registry's warm caches and
-  /// counters, which are order-insensitive.
+  /// Execute a window of requests in three phases:
+  ///  1. validate every request, then plan: resolve each request's
+  ///     session, calibration epoch and run-id lease, and each QC check's
+  ///     standard level from its active quantifier;
+  ///  2. measure every planned run of the window: compatible
+  ///     chronoamperometric oxidase runs from any of its requests step in
+  ///     lockstep lane groups (sim::MeasurementEngine::lane_groups, then
+  ///     run_chronoamperometry_lanes), while CV, CYP and direct-probe runs
+  ///     and groups of one take the scalar `_seeded` path;
+  ///  3. quantify each request and emit its telemetry.
+  /// Responses come back in window order. Pure in the determinism sense
+  /// (see file comment): every response is bitwise identical at any window
+  /// size, lane width or order of the window, because each run keeps its
+  /// own leased run id. Mutates only the session registry's warm caches
+  /// and counters, which are order-insensitive.
   ///
-  /// Telemetry goes to `capture` only (nullptr = off): kLeaseGrant, one
+  /// `captures` holds one slot per request (nullptr = that request's
+  /// telemetry off) or is empty (all off). Each capture receives exactly
+  /// the ops, in the order, a window of one emits: kLeaseGrant, one
   /// kExecution per measured run, kEpochSwap / kRecalibration for field
   /// recalibration epochs, and the serve.service.* request / read / QC
   /// counters and estimate histogram (labels: tenant, priority, channel).
-  /// The caller's obs::TelemetryStream publishes and folds the capture.
+  /// The caller's obs::TelemetryStream publishes and folds the captures.
   /// Every captured field is a pure function of (request, configuration):
   /// epoch spans emit for *every* request on the epoch, not just the
   /// cache-building winner, so which request carries them never depends
   /// on the thread schedule (they collapse as exact duplicates on fold).
+  ///
+  /// A malformed request anywhere in the window throws (the lowest-index
+  /// one's std::invalid_argument) before any request is planned, measured
+  /// or counted.
+  std::vector<Response> execute(std::span<const Request> window,
+                                std::span<obs::TelemetryCapture* const> captures);
+
+  /// Execute one request: a window of one, through the same path.
   Response execute(const Request& request, obs::TelemetryCapture* capture);
+
+  /// The widest window worth forming: the engine's lockstep lane width
+  /// (sim::EngineConfig::batch_lanes, 8 by default). The scheduler's live
+  /// dequeue windows and replay windows are sized by it.
+  std::size_t lane_width() const { return engine_.lane_width(); }
 
   SessionRegistry& sessions() { return registry_; }
   const SessionRegistry& sessions() const { return registry_; }
@@ -156,15 +183,27 @@ class DiagnosticsService {
                                           std::uint32_t epoch,
                                           obs::TelemetryCapture* capture);
 
-  /// One measured + quantified channel read.
-  ChannelResult run_channel(Session& session, std::uint32_t channel,
-                            std::uint32_t epoch, double age_days,
-                            double concentration_mM, std::uint64_t run_id,
-                            obs::TelemetryCapture* capture);
+  /// One measurement of a window: the channel, sensor site and age it
+  /// measures, the presented level and its leased run id. measure() fills
+  /// `response`.
+  struct PlannedRun {
+    std::uint32_t channel = 0;
+    std::uint64_t site = 0;  ///< session site id (degradation seed)
+    double age_days = 0.0;
+    double concentration_mM = 0.0;
+    std::uint64_t run_id = 0;
+    double response = 0.0;  ///< raw scalar panel response
+  };
 
-  /// Raw scalar response of one measurement (no quantification).
-  double measure(Session& session, std::uint32_t channel, double age_days,
-                 double concentration_mM, std::uint64_t run_id) const;
+  /// Phase 2 of execute(): run every planned measurement, compatible
+  /// chronoamperometric oxidase runs through the lane kernel in groups of
+  /// up to lane_width(), everything else through the scalar path.
+  void measure(std::span<PlannedRun> runs) const;
+
+  /// Quantify one measured channel against the active calibration.
+  ChannelResult quantify(Session& session, std::uint32_t channel,
+                         std::uint32_t epoch, double truth_mM,
+                         double response, obs::TelemetryCapture* capture);
 
   /// Observability tap of one measured run: kExecution span plus the
   /// per-channel read counter. No-op without a capture.

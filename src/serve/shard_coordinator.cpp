@@ -211,6 +211,50 @@ LeaseCensus ShardCluster::lease_census(
   return census_of(log, executed_by, primary);
 }
 
+std::vector<Response> ShardCluster::execute_routed(
+    std::span<const Request> log, std::span<const std::size_t> shard_of,
+    std::size_t parallelism, obs::TelemetryStream* sink, bool route_spans) {
+  std::vector<Response> responses(log.size());
+  replay_captured(
+      log.size(), services_.front()->lane_width(), parallelism, sink,
+      [&](std::size_t begin, std::span<obs::TelemetryCapture* const> captures) {
+        const std::size_t n = captures.size();
+        // Validate the whole window in log order before any shard runs its
+        // share, so a malformed request throws as the lowest index's.
+        for (std::size_t k = 0; k < n; ++k) {
+          services_[shard_of[begin + k]]->validate(log[begin + k]);
+        }
+        if (route_spans) {
+          for (std::size_t k = 0; k < n; ++k) {
+            if (captures[k] == nullptr) continue;
+            const Request& request = log[begin + k];
+            captures[k]->span(request.id, obs::SpanKind::kShardRoute,
+                              shard_of[begin + k], 0, 0, request.time_h);
+          }
+        }
+        std::vector<std::size_t> picked;
+        std::vector<Request> window;
+        std::vector<obs::TelemetryCapture*> slots;
+        for (std::size_t s = 0; s < shard_count(); ++s) {
+          picked.clear();
+          window.clear();
+          slots.clear();
+          for (std::size_t k = 0; k < n; ++k) {
+            if (shard_of[begin + k] != s) continue;
+            picked.push_back(begin + k);
+            window.push_back(log[begin + k]);
+            slots.push_back(captures[k]);
+          }
+          if (picked.empty()) continue;
+          std::vector<Response> out = services_[s]->execute(window, slots);
+          for (std::size_t j = 0; j < picked.size(); ++j) {
+            responses[picked[j]] = std::move(out[j]);
+          }
+        }
+      });
+  return responses;
+}
+
 ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
                                          std::size_t parallelism,
                                          ShardTransport* transport) {
@@ -231,18 +275,10 @@ ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
   // shards genuinely run concurrently. Captures, route span included,
   // publish in log order during THIS phase -- before transport and merge
   // -- so the frame sequence never depends on the delivery schedule.
-  std::vector<Response> responses(log.size());
   std::optional<obs::TelemetryStream> sink;
   if (!targets_.empty()) sink.emplace(targets_);
-  replay_captured(log.size(), parallelism, sink ? &*sink : nullptr,
-                  [&](std::size_t i, obs::TelemetryCapture* capture) {
-                    if (capture != nullptr) {
-                      capture->span(log[i].id, obs::SpanKind::kShardRoute,
-                                    shard_of[i], 0, 0, log[i].time_h);
-                    }
-                    responses[i] =
-                        services_[shard_of[i]]->execute(log[i], capture);
-                  });
+  std::vector<Response> responses = execute_routed(
+      log, shard_of, parallelism, sink ? &*sink : nullptr, true);
 
   // Stream shard result streams into the transport round-robin, so
   // cross-shard interleaving is real even before the transport reorders.
@@ -326,14 +362,11 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   // collects in `recovery` and folds unstreamed at the end -- the stream's
   // determinism contract is over (log, seed, config) alone. (`recovery`
   // never streams, so the tenant its executions stamp on it is moot.)
-  std::vector<Response> primary_responses(log.size());
+  // Failover re-executions below stay windows of one.
   std::optional<obs::TelemetryStream> sink;
   if (!targets_.empty()) sink.emplace(targets_);
-  replay_captured(log.size(), parallelism, sink ? &*sink : nullptr,
-                  [&](std::size_t i, obs::TelemetryCapture* capture) {
-                    primary_responses[i] =
-                        services_[shard_of[i]]->execute(log[i], capture);
-                  });
+  const std::vector<Response> primary_responses = execute_routed(
+      log, shard_of, parallelism, sink ? &*sink : nullptr, false);
   obs::TelemetryCapture recovery;
 
   RetryTracker tracker(fault_config.retry);

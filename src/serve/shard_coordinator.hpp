@@ -229,8 +229,9 @@ struct FaultTolerantReplayResult {
 ///
 /// Three modes, mirroring Scheduler:
 /// - replay(log, parallelism, transport): deterministic merged replay --
-///   route, execute every request on its shard (fanned out over one
-///   sim::BatchRunner), stream the per-shard responses through the
+///   route, execute every request on its shard (windows of consecutive
+///   log indices fanned out over one sim::BatchRunner, each window split
+///   by shard), stream the per-shard responses through the
 ///   transport (round-robin across shards so streams genuinely
 ///   interleave), merge. Default transport is the lossless
 ///   DirectTransport; requires at-least-once delivery (no loss).
@@ -353,6 +354,19 @@ class ShardCluster {
   LeaseCensus census_of(std::span<const Request> log,
                         std::span<const std::size_t> owner_of,
                         std::span<const std::size_t> primary) const;
+
+  /// The execution phase both replay paths share: replay_captured in
+  /// windows of the lane width. Each window validates every request in log
+  /// order on its shard (so a malformed log throws as its lowest index,
+  /// like a single node), then splits by shard so every shard's service
+  /// executes its share of the window, in log order, as one
+  /// DiagnosticsService::execute window. With `route_spans` each request's
+  /// capture starts with its kShardRoute span.
+  std::vector<Response> execute_routed(std::span<const Request> log,
+                                       std::span<const std::size_t> shard_of,
+                                       std::size_t parallelism,
+                                       obs::TelemetryStream* sink,
+                                       bool route_spans);
 
   ShardClusterConfig config_;
   ShardRouter router_;

@@ -74,6 +74,30 @@ struct SamplingClock {
   void advance() { ++samples; }
 };
 
+/// Fold the mux charge-injection artifact (decaying from the switch
+/// instant) into one channel's digitised samples while shifting its local
+/// timeline onto the panel's global one -- in place, no copy of the trace.
+void fold_mux_artifact(std::vector<double>& time, std::vector<double>& value,
+                       const afe::AnalogMux& mux, double t_start,
+                       double t_switch) {
+  const double settle = mux.spec().settle_time;
+  for (std::size_t i = 0; i < time.size(); ++i) {
+    const double local_t = time[i];
+    value[i] += mux.artifact_current(t_start + local_t - settle, t_switch);
+    time[i] = t_start + local_t;
+  }
+}
+
+/// The lane-grouping predicate: one shared step loop and sampling clock
+/// (equal duration and sample rate) over node-identical grids.
+bool lane_compatible(const bio::OxidaseProbe& a,
+                     const ChronoamperometryProtocol& pa,
+                     const bio::OxidaseProbe& b,
+                     const ChronoamperometryProtocol& pb) {
+  return pa.duration == pb.duration && pa.sample_rate == pb.sample_rate &&
+         bio::OxidaseLaneBatch::compatible(a, b);
+}
+
 }  // namespace
 
 std::uint64_t MeasurementEngine::reserve_run_ids(std::size_t n) {
@@ -229,77 +253,110 @@ PanelEntryResult MeasurementEngine::run_panel_entry(
   entry.start_time = slot.t_start;
   entry.stop_time = slot.t_stop;
 
-  // The charge-injection artifact decays from the switch instant; fold it
-  // into the digitised samples while shifting the channel-local timeline
-  // onto the global one -- in place, no copy of the trace.
-  const double settle = mux.spec().settle_time;
   if (std::holds_alternative<ChronoamperometryProtocol>(protocol)) {
     const auto& p = std::get<ChronoamperometryProtocol>(protocol);
     Trace raw = run_chronoamperometry_seeded(run_id, channel, p, fe);
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& value = raw.value_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      value[i] += mux.artifact_current(slot.t_start + local_t - settle,
-                                       slot.t_switch);
-      time[i] = slot.t_start + local_t;
-    }
+    fold_mux_artifact(raw.time_mut(), raw.value_mut(), mux, slot.t_start,
+                      slot.t_switch);
     entry.amperogram = std::move(raw);
   } else {
     const auto& p = std::get<CyclicVoltammetryProtocol>(protocol);
     CvCurve raw = run_cyclic_voltammetry_seeded(run_id, channel, p, fe);
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& current = raw.current_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      current[i] += mux.artifact_current(slot.t_start + local_t - settle,
-                                         slot.t_switch);
-      time[i] = slot.t_start + local_t;
-    }
+    fold_mux_artifact(raw.time_mut(), raw.current_mut(), mux, slot.t_start,
+                      slot.t_switch);
     entry.voltammogram = std::move(raw);
   }
   return entry;
 }
 
-void MeasurementEngine::run_panel_lane_group(
-    std::span<const std::size_t> group, std::uint64_t base_id,
-    std::span<const Channel> channels, std::span<const ChannelProtocol> protocols,
-    std::span<afe::AnalogFrontEnd* const> frontends, const afe::AnalogMux& mux,
-    std::span<const PanelSlot> slots, std::span<PanelEntryResult> entries) const {
-  const std::size_t w = group.size();
+std::size_t MeasurementEngine::lane_width() const {
+  return config_.batch_lanes == 0 ? kDefaultPanelLanes : config_.batch_lanes;
+}
+
+std::vector<std::vector<std::size_t>> MeasurementEngine::lane_groups(
+    std::span<const Channel> channels,
+    std::span<const ChannelProtocol> protocols) const {
+  util::require(channels.size() == protocols.size(),
+                "one protocol per channel required");
+  const std::size_t n = channels.size();
+  const std::size_t width = lane_width();
+  std::vector<std::vector<std::size_t>> groups;
+  groups.reserve(n);
+  std::vector<std::vector<std::size_t>> classes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto* ox = dynamic_cast<const bio::OxidaseProbe*>(channels[i].probe);
+    if (ox == nullptr ||
+        !std::holds_alternative<ChronoamperometryProtocol>(protocols[i])) {
+      groups.push_back({i});
+      continue;
+    }
+    const auto& p = std::get<ChronoamperometryProtocol>(protocols[i]);
+    const auto same_class = [&](const std::vector<std::size_t>& cls) {
+      return lane_compatible(
+          static_cast<const bio::OxidaseProbe&>(*channels[cls.front()].probe),
+          std::get<ChronoamperometryProtocol>(protocols[cls.front()]), *ox, p);
+    };
+    const auto cls = std::find_if(classes.begin(), classes.end(), same_class);
+    if (cls == classes.end()) {
+      classes.push_back({i});
+    } else {
+      cls->push_back(i);
+    }
+  }
+  // Chunk each compatibility class to the lane width; ragged tails form a
+  // narrower group, and a chunk of one takes the scalar path.
+  for (const std::vector<std::size_t>& cls : classes) {
+    for (std::size_t begin = 0; begin < cls.size(); begin += width) {
+      const std::size_t end = std::min(begin + width, cls.size());
+      groups.emplace_back(cls.begin() + static_cast<std::ptrdiff_t>(begin),
+                          cls.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  return groups;
+}
+
+std::vector<Trace> MeasurementEngine::run_chronoamperometry_lanes(
+    std::span<const std::uint64_t> run_ids, std::span<const Channel> channels,
+    std::span<const ChronoamperometryProtocol> protocols,
+    std::span<afe::AnalogFrontEnd* const> frontends) const {
+  const std::size_t w = channels.size();
+  util::require(w > 0 && run_ids.size() == w && protocols.size() == w &&
+                    frontends.size() == w,
+                "one run id, protocol and front end per lane");
+  const ChronoamperometryProtocol& p0 = protocols[0];
+  util::require(p0.duration > 0.0 && p0.sample_rate > 0.0,
+                "invalid protocol");
 
   // Per-lane preamble, mirroring run_chronoamperometry_seeded: sensor state
   // applied to the probe, fresh probe state, front-end drift configured.
   std::vector<bio::OxidaseProbe*> probes(w);
   std::vector<const fault::SensorState*> sensors(w);
-  std::vector<double> potentials(w);
   for (std::size_t l = 0; l < w; ++l) {
-    const Channel& channel = channels[group[l]];
-    const auto& protocol =
-        std::get<ChronoamperometryProtocol>(protocols[group[l]]);
-    util::require(protocol.duration > 0.0 && protocol.sample_rate > 0.0,
-                  "invalid protocol");
-    probes[l] = static_cast<bio::OxidaseProbe*>(channel.probe);
+    const Channel& channel = channels[l];
+    util::require(channel.probe != nullptr && frontends[l] != nullptr,
+                  "lane has no probe or front end");
+    probes[l] = dynamic_cast<bio::OxidaseProbe*>(channel.probe);
+    util::require(probes[l] != nullptr, "lane kernel needs oxidase probes");
+    util::require(lane_compatible(*probes[0], p0, *probes[l], protocols[l]),
+                  "lanes must share grid, duration and sample rate");
     sensors[l] = &channel.sensor;
-    potentials[l] = protocol.potential;
     channel.probe->apply_sensor_state(channel.sensor);
     channel.probe->reset();
-    frontends[group[l]]->set_drift(channel.sensor.afe_gain,
-                                   channel.sensor.afe_offset_A);
+    frontends[l]->set_drift(channel.sensor.afe_gain,
+                            channel.sensor.afe_offset_A);
   }
   bio::OxidaseLaneBatch batch(probes, sensors);
 
   std::vector<NoiseState> noise;
   noise.reserve(w);
   for (std::size_t l = 0; l < w; ++l) {
-    noise.emplace_back(config_, *probes[l], base_id + group[l] + 1,
+    noise.emplace_back(config_, *probes[l], run_ids[l],
                        sensors[l]->storm_noise_mult);
   }
   afe::Potentiostat pstat(config_.potentiostat);
 
-  // All group members share duration and sample rate (grouping key), so one
-  // sampling clock and one step count drive every lane.
-  const auto& p0 = std::get<ChronoamperometryProtocol>(protocols[group[0]]);
+  // Every lane shares duration and sample rate, so one sampling clock and
+  // one step count drive them all; each lane keeps its own potential.
   std::vector<Trace> traces(w);
   for (Trace& trace : traces) {
     trace.reserve(
@@ -312,7 +369,7 @@ void MeasurementEngine::run_panel_lane_group(
   for (std::size_t k = 0; k < n_steps; ++k) {
     const double t = static_cast<double>(k) * dt;
     for (std::size_t l = 0; l < w; ++l) {
-      e_applied[l] = pstat.applied_potential(potentials[l], i_prev[l],
+      e_applied[l] = pstat.applied_potential(protocols[l].potential, i_prev[l],
                                              config_.cell_impedance) +
                      sensors[l]->reference_shift_V;
     }
@@ -329,33 +386,53 @@ void MeasurementEngine::run_panel_lane_group(
                                    (i_far[l] - probes[l]->blank_current()) +
                                noise[l].blank_white() + drift +
                                sensors[l]->storm_current_A;
-        traces[l].push(clock.next(),
-                       frontends[group[l]]->sample(i_sig, i_blank));
+        traces[l].push(clock.next(), frontends[l]->sample(i_sig, i_blank));
       }
       clock.advance();
     }
   }
+  return traces;
+}
 
-  // Per-lane postprocessing, mirroring run_panel_entry's CA branch: fold the
-  // charge-injection artifact in while shifting onto the global timeline.
-  const double settle = mux.spec().settle_time;
+std::vector<Trace> MeasurementEngine::run_lane_group(
+    std::span<const std::size_t> group, std::span<const std::uint64_t> run_ids,
+    std::span<const Channel> channels, std::span<const ChannelProtocol> protocols,
+    std::span<afe::AnalogFrontEnd* const> frontends) const {
+  const std::size_t w = group.size();
+  std::vector<std::uint64_t> lane_run_ids(w);
+  std::vector<Channel> lane_channels(w);
+  std::vector<ChronoamperometryProtocol> lane_protocols(w);
+  std::vector<afe::AnalogFrontEnd*> lane_frontends(w);
   for (std::size_t l = 0; l < w; ++l) {
+    const std::size_t i = group[l];
+    lane_run_ids[l] = run_ids[i];
+    lane_channels[l] = channels[i];
+    lane_protocols[l] = std::get<ChronoamperometryProtocol>(protocols[i]);
+    lane_frontends[l] = frontends[i];
+  }
+  return run_chronoamperometry_lanes(lane_run_ids, lane_channels,
+                                     lane_protocols, lane_frontends);
+}
+
+void MeasurementEngine::run_panel_lane_group(
+    std::span<const std::size_t> group, std::span<const std::uint64_t> run_ids,
+    std::span<const Channel> channels, std::span<const ChannelProtocol> protocols,
+    std::span<afe::AnalogFrontEnd* const> frontends, const afe::AnalogMux& mux,
+    std::span<const PanelSlot> slots, std::span<PanelEntryResult> entries) const {
+  std::vector<Trace> traces =
+      run_lane_group(group, run_ids, channels, protocols, frontends);
+
+  // Per-lane postprocessing, mirroring run_panel_entry's CA branch.
+  for (std::size_t l = 0; l < group.size(); ++l) {
     const std::size_t c = group[l];
     PanelEntryResult& entry = entries[c];
     entry.probe_name = channels[c].probe->name();
     entry.technique = channels[c].probe->technique();
     entry.start_time = slots[c].t_start;
     entry.stop_time = slots[c].t_stop;
-    Trace& raw = traces[l];
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& value = raw.value_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      value[i] += mux.artifact_current(slots[c].t_start + local_t - settle,
-                                       slots[c].t_switch);
-      time[i] = slots[c].t_start + local_t;
-    }
-    entry.amperogram = std::move(raw);
+    fold_mux_artifact(traces[l].time_mut(), traces[l].value_mut(), mux,
+                      slots[c].t_start, slots[c].t_switch);
+    entry.amperogram = std::move(traces[l]);
   }
 }
 
@@ -376,9 +453,11 @@ PanelScanResult MeasurementEngine::run_panel(
   // times and run ids are all fixed before any chemistry runs, so the
   // channel measurements are independent jobs.
   const std::uint64_t base_id = reserve_run_ids(n);
+  std::vector<std::uint64_t> run_ids(n);
   std::vector<PanelSlot> slots(n);
   double t_global = 0.0;
   for (std::size_t c = 0; c < n; ++c) {
+    run_ids[c] = base_id + c + 1;
     mux.select(c, t_global);
     slots[c].t_switch = mux.last_switch();
     t_global += mux.spec().settle_time;
@@ -394,56 +473,12 @@ PanelScanResult MeasurementEngine::run_panel(
     slots[c].t_stop = t_global;
   }
 
-  // Gather compatible chronoamperometric oxidase channels into lockstep
-  // lane groups for the batched SoA kernel. Compatibility = node-identical
-  // grids plus equal duration and sample rate (one shared step loop and
-  // sampling clock); everything else -- CV channels, direct probes, CYP
-  // panels -- keeps the scalar per-channel path. Grouping is a pure
-  // function of the inputs, and lane membership cannot leak into results
-  // (per-channel run ids seed all randomness), so every width yields
-  // bitwise-identical scans.
-  const std::size_t lane_width =
-      config_.batch_lanes == 0 ? kDefaultPanelLanes : config_.batch_lanes;
-  std::vector<std::vector<std::size_t>> jobs;
-  jobs.reserve(n);
-  if (lane_width > 1) {
-    std::vector<std::vector<std::size_t>> classes;
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto* ox = dynamic_cast<const bio::OxidaseProbe*>(channels[c].probe);
-      if (ox == nullptr ||
-          !std::holds_alternative<ChronoamperometryProtocol>(protocols[c])) {
-        jobs.push_back({c});
-        continue;
-      }
-      const auto& p = std::get<ChronoamperometryProtocol>(protocols[c]);
-      bool placed = false;
-      for (std::vector<std::size_t>& cls : classes) {
-        const auto& rep_p =
-            std::get<ChronoamperometryProtocol>(protocols[cls.front()]);
-        const auto* rep_ox =
-            static_cast<const bio::OxidaseProbe*>(channels[cls.front()].probe);
-        if (rep_p.duration == p.duration &&
-            rep_p.sample_rate == p.sample_rate &&
-            bio::OxidaseLaneBatch::compatible(*rep_ox, *ox)) {
-          cls.push_back(c);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) classes.push_back({c});
-    }
-    // Chunk each compatibility class to the lane width; ragged tails simply
-    // form a narrower batch, and singleton chunks take the scalar path.
-    for (std::vector<std::size_t>& cls : classes) {
-      for (std::size_t begin = 0; begin < cls.size(); begin += lane_width) {
-        const std::size_t end = std::min(begin + lane_width, cls.size());
-        jobs.emplace_back(cls.begin() + static_cast<std::ptrdiff_t>(begin),
-                          cls.begin() + static_cast<std::ptrdiff_t>(end));
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < n; ++c) jobs.push_back({c});
-  }
+  // Compatible chronoamperometric oxidase channels step in lockstep lane
+  // groups; everything else keeps the scalar per-channel path. Lane
+  // membership cannot leak into results (per-channel run ids seed all
+  // randomness), so every width yields bitwise-identical scans.
+  const std::vector<std::vector<std::size_t>> jobs =
+      lane_groups(channels, protocols);
 
   PanelScanResult result;
   result.entries.resize(n);
@@ -453,11 +488,11 @@ PanelScanResult MeasurementEngine::run_panel(
     const std::vector<std::size_t>& group = jobs[j];
     if (group.size() == 1) {
       const std::size_t c = group.front();
-      result.entries[c] = run_panel_entry(base_id + c + 1, channels[c],
+      result.entries[c] = run_panel_entry(run_ids[c], channels[c],
                                           protocols[c], *frontends[c], mux,
                                           slots[c]);
     } else {
-      run_panel_lane_group(group, base_id, channels, protocols, frontends,
+      run_panel_lane_group(group, run_ids, channels, protocols, frontends,
                            mux, slots, result.entries);
     }
   });

@@ -65,13 +65,14 @@ struct EngineConfig {
   /// Eq. 5 LODs near their Table III values.
   double drift_scale = 1.0;
   double drift_tau = 60.0;     ///< [s]
-  /// Lockstep lane width of the batched SoA panel kernel: compatible
-  /// chronoamperometric oxidase channels (node-identical grids, same
-  /// duration and sample rate) are gathered in groups of up to this many
-  /// channels and stepped through one structure-of-arrays tridiagonal
-  /// solve. 0 picks the default width (8); 1 disables cross-channel
-  /// batching (the scalar per-channel path). Results are bitwise identical
-  /// at every width -- the kernel-equivalence property test and the `simd`
+  /// Lockstep lane width of the batched SoA kernel: compatible
+  /// chronoamperometric oxidase measurements (node-identical grids, same
+  /// duration and sample rate) -- the channels of one panel scan, or the
+  /// reads of a diagnostics-service request window -- are gathered in
+  /// groups of up to this many and stepped through one structure-of-arrays
+  /// tridiagonal solve. 0 picks the default width (8); 1 disables
+  /// batching (the scalar per-measurement path). Results are bitwise
+  /// identical at every width -- the lane-kernel oracle and the `simd`
   /// determinism-sweep workload pin this.
   std::size_t batch_lanes = 0;
   afe::PotentiostatSpec potentiostat;
@@ -116,6 +117,49 @@ class MeasurementEngine {
       const CyclicVoltammetryProtocol& protocol,
       afe::AnalogFrontEnd& fe) const;
 
+  /// Lockstep lane width: EngineConfig::batch_lanes, with 0 resolved to the
+  /// default width (8).
+  std::size_t lane_width() const;
+
+  /// The one lane-grouping rule, shared by run_panel and the diagnostics
+  /// service. Measurement i pairs channels[i] with protocols[i]; compatible
+  /// chronoamperometric oxidase measurements -- node-identical grids
+  /// (bio::OxidaseLaneBatch::compatible) plus equal duration and sample
+  /// rate -- are gathered in index order and chunked to lane_width(). Every
+  /// other measurement (CV, direct and CYP probes, a class of one, or any
+  /// measurement at lane width 1) is a group of one, which callers run
+  /// through the scalar `_seeded` path. A pure function of the inputs.
+  std::vector<std::vector<std::size_t>> lane_groups(
+      std::span<const Channel> channels,
+      std::span<const ChannelProtocol> protocols) const;
+
+  /// Step compatible chronoamperometric oxidase measurements in lockstep
+  /// through one structure-of-arrays solve (bio::OxidaseLaneBatch). Lane l
+  /// keeps its own run id (noise seed), applied potential, front end and
+  /// sensor state, and its trace is bitwise identical to
+  /// run_chronoamperometry_seeded(run_ids[l], channels[l], protocols[l],
+  /// *frontends[l]) -- at any width, lane order or mix of targets.
+  /// Requires oxidase probes with node-identical grids and one shared
+  /// duration and sample rate; no injections. Thread-safe like the other
+  /// `_seeded` calls.
+  std::vector<Trace> run_chronoamperometry_lanes(
+      std::span<const std::uint64_t> run_ids,
+      std::span<const Channel> channels,
+      std::span<const ChronoamperometryProtocol> protocols,
+      std::span<afe::AnalogFrontEnd* const> frontends) const;
+
+  /// Run one lane_groups() group of a measurement set through
+  /// run_chronoamperometry_lanes: lane l is measurement group[l] of the
+  /// full-index spans (its run id, channel, chronoamperometric protocol and
+  /// front end). Returns the traces in group order. The one gather behind
+  /// run_panel's and the diagnostics service's lane groups.
+  std::vector<Trace> run_lane_group(
+      std::span<const std::size_t> group,
+      std::span<const std::uint64_t> run_ids,
+      std::span<const Channel> channels,
+      std::span<const ChannelProtocol> protocols,
+      std::span<afe::AnalogFrontEnd* const> frontends) const;
+
   /// Reserve `n` consecutive run ids; returns the pre-reservation counter
   /// value, so the reserved ids are base+1 .. base+n -- exactly what the
   /// counter-based overloads would have consumed sequentially.
@@ -151,12 +195,11 @@ class MeasurementEngine {
                                    const afe::AnalogMux& mux,
                                    const PanelSlot& slot) const;
 
-  /// Run one lane group of compatible chronoamperometric oxidase channels
-  /// in lockstep through the batched SoA kernel; fills entries[c] for every
-  /// c in `group`. Per channel the sampled trace is bitwise identical to
-  /// run_panel_entry with the same run id.
+  /// Run one lane group of a panel through run_lane_group and fold each
+  /// lane's mux artifact in; fills entries[c] for every c in `group`,
+  /// bitwise identical to run_panel_entry with run id run_ids[c].
   void run_panel_lane_group(std::span<const std::size_t> group,
-                            std::uint64_t base_id,
+                            std::span<const std::uint64_t> run_ids,
                             std::span<const Channel> channels,
                             std::span<const ChannelProtocol> protocols,
                             std::span<afe::AnalogFrontEnd* const> frontends,

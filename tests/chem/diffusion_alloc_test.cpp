@@ -22,6 +22,14 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+
+// Every replacement operator delete frees through this one out-of-line
+// helper. With std::free inlined into each operator delete, GCC 12 under
+// -fsanitize=address or =thread inlines it into gtest's `new TestClass`
+// too and reports -Wmismatched-new-delete against the replacement
+// operator new; behind a non-inlined call the pairing stays invisible to
+// the warning, which stays on.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 // Counting global allocator: every successful allocation bumps the counter,
@@ -59,21 +67,21 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace idp {

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,6 +176,44 @@ TEST(ShardCluster, LeaseSubdomainsAreDisjointAcrossShards) {
   }
   EXPECT_EQ(requests, traffic_log().size());
   EXPECT_EQ(sessions, 6u) << "every session is owned by exactly one shard";
+}
+
+TEST(ShardCluster, ReplayRethrowsTheLowestIndexMalformedRequest) {
+  // Two malformed requests in one replay window, the earlier routed to
+  // shard 1 and the later to shard 0. The window validates in log order
+  // before any shard runs its share, so the earlier request's error is the
+  // one that surfaces, as on a single node.
+  serve::ShardClusterConfig config;
+  config.router.shards = 2;
+  serve::ShardCluster cluster(shared_store(), service_config(1), config);
+  std::vector<serve::Request> log = traffic_log();
+  const std::size_t window = cluster.shard(0).lane_width();
+  std::size_t first = log.size(), later = log.size();
+  for (std::size_t b = 0; b < log.size() && first == log.size(); ++b) {
+    if (cluster.router().route(log[b].session) != 1) continue;
+    const std::size_t end = std::min(log.size(), (b / window + 1) * window);
+    for (std::size_t c = b + 1; c < end; ++c) {
+      if (cluster.router().route(log[c].session) == 0) {
+        first = b;
+        later = c;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(later, log.size()) << "the log has no shard-1 then shard-0 pair";
+  log[first].time_h = std::numeric_limits<double>::quiet_NaN();
+  log[later].concentrations_mM.push_back(1.0);  // a shape error
+  for (const std::size_t parallelism : {std::size_t{1}, std::size_t{0}}) {
+    try {
+      (void)cluster.replay(log, parallelism);
+      ADD_FAILURE() << "a malformed log replayed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("time_h must be finite"),
+                std::string::npos)
+          << "request " << later << "'s error surfaced instead of request "
+          << first << "'s: " << error.what();
+    }
+  }
 }
 
 TEST(ShardRouter, RoutingIsDeterministicAndSessionSticky) {

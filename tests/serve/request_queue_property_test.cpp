@@ -10,15 +10,24 @@
 /// - sequentially, dispatch is strict priority (stat, routine, batch) with
 ///   FIFO inside each class;
 /// - the stat reserve admits stat traffic after routine traffic has filled
-///   the shared portion, and never admits routine into the reserve.
+///   the shared portion, and never admits routine into the reserve;
+/// - windows of more than one keep all of the above, never mix priority
+///   classes, never hold a stat request beside another, never take more
+///   than 1 + floor(depth / consumers) requests, and never wait for a
+///   second request.
 
 #include "serve/request_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,6 +51,9 @@ Request stamped(std::size_t producer, std::uint64_t index,
   return r;
 }
 
+/// The widest window the consumers ask for: the service's lane width.
+constexpr std::size_t kWindow = 8;
+
 struct ConcurrentRunResult {
   std::uint64_t attempts = 0;
   std::uint64_t accepted = 0;
@@ -53,10 +65,13 @@ struct ConcurrentRunResult {
 };
 
 /// Drive `producers` threads of `per_producer` seeded admission attempts
-/// (mixed try_push / push_wait) against one consumer thread.
+/// (mixed try_push / push_wait) against `consumers` consumer threads, each
+/// dispatching windows of up to `max_window` requests.
 ConcurrentRunResult run_concurrent(std::uint64_t seed, std::size_t producers,
                                    std::uint64_t per_producer,
-                                   RequestQueueConfig config) {
+                                   RequestQueueConfig config,
+                                   std::size_t max_window = 1,
+                                   std::size_t consumers = 1) {
   RequestQueue queue(config);
   ConcurrentRunResult result;
   result.attempts = producers * per_producer;
@@ -100,20 +115,37 @@ ConcurrentRunResult run_concurrent(std::uint64_t seed, std::size_t producers,
     });
   }
 
-  // Single consumer: drains until the queue is closed and empty.
-  std::thread consumer([&] {
-    QueuedRequest q;
-    while (queue.pop(q)) {
+  // Consumers drain until the queue is closed and empty.
+  std::mutex popped_mutex;
+  const auto record = [&](const std::vector<QueuedRequest>& window) {
+    const std::lock_guard<std::mutex> lock(popped_mutex);
+    for (const QueuedRequest& q : window) {
       ++result.popped;
-      result
-          .lanes[{q.request.session.tenant, q.request.priority}]
-          .push_back(q.request.session.patient);
+      result.lanes[{q.request.session.tenant, q.request.priority}].push_back(
+          q.request.session.patient);
     }
-  });
+  };
+  std::vector<std::thread> drains;
+  for (std::size_t c = 0; c < consumers; ++c) {
+    drains.emplace_back([&] {
+      std::vector<QueuedRequest> window;
+      while (queue.pop_batch(window, max_window, consumers) > 0) {
+        EXPECT_LE(window.size(), max_window) << "window wider than asked";
+        for (const QueuedRequest& q : window) {
+          EXPECT_EQ(q.request.priority, window.front().request.priority)
+              << "a window mixed priority classes";
+        }
+        if (window.front().request.priority == Priority::kStat) {
+          EXPECT_EQ(window.size(), 1u) << "a stat request shared a window";
+        }
+        record(window);
+      }
+    });
+  }
 
   for (std::thread& t : threads) t.join();
   queue.close();
-  consumer.join();
+  for (std::thread& t : drains) t.join();
 
   result.accepted = accepted.load();
   result.rejected_full = rejected_full.load();
@@ -125,30 +157,175 @@ ConcurrentRunResult run_concurrent(std::uint64_t seed, std::size_t producers,
 }
 
 TEST(RequestQueueProperty, AdmissionIsNeverSilentUnderConcurrency) {
-  for (const std::uint64_t seed : kSeeds) {
-    RequestQueueConfig config;
-    config.capacity = 32;  // small: forces genuine rejection pressure
-    const ConcurrentRunResult r = run_concurrent(seed, 4, 200, config);
-    EXPECT_EQ(r.accepted + r.rejected_full, r.attempts)
-        << "seed " << seed << ": an admission attempt vanished";
-    EXPECT_EQ(r.popped, r.accepted)
-        << "seed " << seed << ": accepted requests were lost or duplicated";
+  for (const std::size_t max_window : {std::size_t{1}, kWindow}) {
+    for (const std::uint64_t seed : kSeeds) {
+      RequestQueueConfig config;
+      config.capacity = 32;  // small: forces genuine rejection pressure
+      const ConcurrentRunResult r =
+          run_concurrent(seed, 4, 200, config, max_window);
+      EXPECT_EQ(r.accepted + r.rejected_full, r.attempts)
+          << "seed " << seed << ": an admission attempt vanished";
+      EXPECT_EQ(r.popped, r.accepted)
+          << "seed " << seed << ": accepted requests were lost or duplicated";
+    }
   }
 }
 
 TEST(RequestQueueProperty, PerProducerPerPriorityFifoSurvivesConcurrency) {
-  for (const std::uint64_t seed : kSeeds) {
-    RequestQueueConfig config;
-    config.capacity = 64;
-    const ConcurrentRunResult r = run_concurrent(seed, 4, 200, config);
-    for (const auto& [lane, indices] : r.lanes) {
-      for (std::size_t i = 1; i < indices.size(); ++i) {
-        ASSERT_LT(indices[i - 1], indices[i])
-            << "seed " << seed << ": producer " << lane.first
-            << " priority " << static_cast<int>(lane.second)
-            << " was popped out of emission order";
+  for (const std::size_t max_window : {std::size_t{1}, kWindow}) {
+    for (const std::uint64_t seed : kSeeds) {
+      RequestQueueConfig config;
+      config.capacity = 64;
+      const ConcurrentRunResult r =
+          run_concurrent(seed, 4, 200, config, max_window);
+      for (const auto& [lane, indices] : r.lanes) {
+        for (std::size_t i = 1; i < indices.size(); ++i) {
+          ASSERT_LT(indices[i - 1], indices[i])
+              << "seed " << seed << ": producer " << lane.first
+              << " priority " << static_cast<int>(lane.second)
+              << " was popped out of emission order";
+        }
       }
     }
+  }
+}
+
+TEST(RequestQueueProperty, PopBatchConservesAcrossConsumers) {
+  // Three window consumers race over one queue: every accepted request is
+  // dispatched exactly once.
+  for (const std::uint64_t seed : kSeeds) {
+    RequestQueueConfig config;
+    config.capacity = 48;
+    const ConcurrentRunResult r =
+        run_concurrent(seed, 4, 200, config, kWindow, 3);
+    EXPECT_EQ(r.accepted + r.rejected_full, r.attempts);
+    EXPECT_EQ(r.popped, r.accepted)
+        << "seed " << seed << ": a window lost or duplicated a request";
+    std::uint64_t distinct = 0;
+    for (const auto& [lane, indices] : r.lanes) {
+      std::vector<std::uint64_t> sorted = indices;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end())
+          << "seed " << seed << ": a request was dispatched twice";
+      distinct += sorted.size();
+    }
+    EXPECT_EQ(distinct, r.accepted);
+  }
+}
+
+TEST(RequestQueueProperty, PopBatchFollowsTheDepthRule) {
+  // Sequentially the depth of every class at each call is known exactly,
+  // so every window must hold only the first request's class and be
+  // 1 + min(max_window - 1, floor((class depth - 1) / consumers)) -- in
+  // particular never more than 1 + floor(depth / consumers) -- or exactly
+  // one for a stat request, and the concatenated windows must still be
+  // strict priority, FIFO per class.
+  for (const std::uint64_t seed : kSeeds) {
+    util::Rng rng(seed);
+    for (const std::size_t consumers : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{3}, std::size_t{5}}) {
+      for (const std::size_t max_window : {std::size_t{1}, std::size_t{4},
+                                           std::size_t{8}}) {
+        RequestQueue queue;
+        std::array<std::uint64_t, kPriorityCount> emitted{};
+        std::array<std::size_t, kPriorityCount> class_depth{};
+        const std::uint64_t total = 20 + rng.index(60);
+        for (std::uint64_t i = 0; i < total; ++i) {
+          const auto priority =
+              static_cast<Priority>(rng.index(kPriorityCount));
+          ++class_depth[static_cast<std::size_t>(priority)];
+          ASSERT_EQ(queue.try_push(stamped(
+                        0, emitted[static_cast<std::size_t>(priority)]++,
+                        priority)),
+                    Admission::kAccepted);
+        }
+        queue.close();
+        int last_priority = -1;
+        std::array<std::uint64_t, kPriorityCount> next_index{};
+        std::uint64_t popped = 0;
+        std::vector<QueuedRequest> window;
+        for (;;) {
+          const std::size_t depth = queue.depth();
+          const std::size_t got =
+              queue.pop_batch(window, max_window, consumers);
+          if (got == 0) break;
+          ASSERT_EQ(got, window.size());
+          const auto first = static_cast<std::size_t>(
+              window.front().request.priority);
+          const std::size_t width =
+              first == static_cast<std::size_t>(Priority::kStat) ? 1
+                                                                  : max_window;
+          ASSERT_EQ(got, 1 + std::min(width - 1,
+                                      (class_depth[first] - 1) / consumers))
+              << "seed " << seed << ", class depth " << class_depth[first]
+              << ", consumers " << consumers << ", max window "
+              << max_window;
+          ASSERT_LE(got, 1 + depth / consumers);
+          class_depth[first] -= got;
+          for (const QueuedRequest& q : window) {
+            ASSERT_EQ(static_cast<std::size_t>(q.request.priority), first)
+                << "a window mixed priority classes";
+            ++popped;
+            const int p = static_cast<int>(q.request.priority);
+            ASSERT_GE(p, last_priority) << "a lower-priority request overtook";
+            last_priority = p;
+            ASSERT_EQ(q.request.session.patient,
+                      next_index[static_cast<std::size_t>(p)]++)
+                << "FIFO broken within priority " << p;
+          }
+        }
+        EXPECT_EQ(popped, total);
+      }
+    }
+  }
+}
+
+TEST(RequestQueueProperty, PopBatchNeverWaitsForASecondRequest) {
+  // An open queue holding one request hands out a window of one at once:
+  // waiting to fill the window would add latency no request asked for.
+  RequestQueue queue;
+  ASSERT_EQ(queue.try_push(stamped(0, 0, Priority::kRoutine)),
+            Admission::kAccepted);
+  std::vector<QueuedRequest> window;
+  auto popped = std::async(std::launch::async, [&] {
+    return queue.pop_batch(window, kWindow, 1);
+  });
+  const bool returned =
+      popped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "pop_batch waited for a second request";
+  if (!returned) queue.close();  // unblock the waiter before failing
+  EXPECT_EQ(popped.get(), 1u);
+
+  // Below the depth rule's threshold a backlog still dispatches singly:
+  // three waiting requests across four consumers leave each its own.
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_EQ(queue.try_push(stamped(0, i, Priority::kRoutine)),
+              Admission::kAccepted);
+  }
+  EXPECT_EQ(queue.pop_batch(window, kWindow, 4), 1u);
+  EXPECT_EQ(queue.depth(), 2u);
+}
+
+TEST(RequestQueueProperty, PopBatchNeverPutsAStatRequestBesideAnother) {
+  // Stat requests ahead of a routine backlog leave one per window, even
+  // backlogged: a stat response never waits on work measured beside it.
+  RequestQueue queue;
+  for (std::uint64_t i = 0; i < 2 * kWindow; ++i) {
+    ASSERT_EQ(queue.try_push(stamped(0, i, Priority::kRoutine)),
+              Admission::kAccepted);
+    ASSERT_EQ(queue.try_push(stamped(1, i, Priority::kStat)),
+              Admission::kAccepted);
+  }
+  std::vector<QueuedRequest> window;
+  for (std::uint64_t i = 0; i < 2 * kWindow; ++i) {
+    ASSERT_EQ(queue.pop_batch(window, kWindow, 1), 1u);
+    EXPECT_EQ(window.front().request.priority, Priority::kStat);
+  }
+  ASSERT_EQ(queue.pop_batch(window, kWindow, 1), kWindow)
+      << "the routine backlog should fill a whole window";
+  for (const QueuedRequest& q : window) {
+    EXPECT_EQ(q.request.priority, Priority::kRoutine);
   }
 }
 
@@ -168,9 +345,10 @@ TEST(RequestQueueProperty, SequentialDispatchIsStrictPriorityThenFifo) {
     queue.close();
     int last_priority = -1;
     std::array<std::uint64_t, kPriorityCount> next_index{};
-    QueuedRequest q;
+    std::vector<QueuedRequest> window;
     std::uint64_t popped = 0;
-    while (queue.pop(q)) {
+    while (queue.pop_batch(window, 1, 1) > 0) {
+      const QueuedRequest& q = window.front();
       ++popped;
       const int p = static_cast<int>(q.request.priority);
       ASSERT_GE(p, last_priority)

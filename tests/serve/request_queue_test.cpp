@@ -102,11 +102,11 @@ TEST(RequestQueue, CloseDrainsThenSignalsEnd) {
   EXPECT_EQ(queue.push_wait(make_request(9, Priority::kStat)),
             Admission::kRejectedClosed);
   // The accepted request still drains...
-  QueuedRequest out;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.request.id, 7u);
-  // ...then pop reports the end instead of blocking.
-  EXPECT_FALSE(queue.pop(out));
+  std::vector<QueuedRequest> out;
+  EXPECT_EQ(queue.pop_batch(out, 1, 1), 1u);
+  EXPECT_EQ(out.front().request.id, 7u);
+  // ...then pop_batch reports the end instead of blocking.
+  EXPECT_EQ(queue.pop_batch(out, 1, 1), 0u);
 }
 
 TEST(RequestQueue, PushWaitBlocksUntilSpace) {
@@ -121,12 +121,12 @@ TEST(RequestQueue, PushWaitBlocksUntilSpace) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_admitted.load());  // backpressure held it
-  QueuedRequest out;
-  ASSERT_TRUE(queue.pop(out));
+  std::vector<QueuedRequest> out;
+  ASSERT_EQ(queue.pop_batch(out, 1, 1), 1u);
   pusher.join();
   EXPECT_TRUE(second_admitted.load());
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.request.id, 1u);
+  ASSERT_EQ(queue.pop_batch(out, 1, 1), 1u);
+  EXPECT_EQ(out.front().request.id, 1u);
 }
 
 TEST(RequestQueue, BlockedPushWaitWakesOnClose) {
@@ -172,13 +172,14 @@ TEST(RequestQueue, PushWaitForAdmitsWhenAPopFreesSpaceInTime) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(admitted.load());
-  QueuedRequest out;
-  ASSERT_TRUE(queue.pop(out));  // frees the slot; the waiter must wake
+  std::vector<QueuedRequest> out;
+  // Frees the slot; the waiter must wake.
+  ASSERT_EQ(queue.pop_batch(out, 1, 1), 1u);
   pusher.join();
   EXPECT_TRUE(admitted.load());
   EXPECT_EQ(queue.stats().timed_out, 0u);
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.request.id, 1u);
+  ASSERT_EQ(queue.pop_batch(out, 1, 1), 1u);
+  EXPECT_EQ(out.front().request.id, 1u);
 }
 
 TEST(RequestQueue, PushWaitForWakesAsRejectedClosedOnClose) {
@@ -291,9 +292,9 @@ TEST(RequestQueue, BlockingPopWaitsForWork) {
   RequestQueue queue(RequestQueueConfig{.capacity = 4});
   std::atomic<bool> got{false};
   std::thread popper([&] {
-    QueuedRequest out;
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.request.id, 42u);
+    std::vector<QueuedRequest> out;
+    ASSERT_EQ(queue.pop_batch(out, 1, 1), 1u);
+    EXPECT_EQ(out.front().request.id, 42u);
     got = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -1,8 +1,11 @@
 /// \file service_test.cpp
 /// DiagnosticsService + Scheduler behaviour: request validation, run-id
 /// leasing, quantified accuracy, epoch resolution and warm reuse, QC
-/// residuals, and the headline service-layer guarantee that live-mode
-/// results equal replayed results bitwise.
+/// residuals, the window oracle (a log executed as windows of 1, 3 and 8
+/// and as one reversed window yields identical responses, captures and
+/// registry counters), and the headline service-layer guarantee that
+/// live-mode results -- windowed dequeues included -- equal replayed
+/// results bitwise.
 
 #include "serve/service.hpp"
 
@@ -15,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "common/determinism.hpp"
 #include "serve/result_sink.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/traffic.hpp"
@@ -69,6 +73,102 @@ bool bitwise_equal(const Response& a, const Response& b) {
   }
   return a.qc_blank_residual == b.qc_blank_residual &&
          a.qc_standard_residual == b.qc_standard_residual;
+}
+
+/// Aging sensors (every degradation mechanism) with a 4-day recalibration
+/// cadence, so a multi-day log reaches epochs >= 1 and builds per-session
+/// field recalibrations.
+ServiceConfig aging_service_config() {
+  ServiceConfig config = test_service_config();
+  fault::DegradationParams aging;
+  aging.fouling_rate_per_day = 0.05;
+  aging.enzyme_decay_per_day = 0.02;
+  aging.reference_drift_V_per_day = 5.0e-4;
+  aging.afe_offset_A_per_day = 1.0e-11;
+  aging.storms_per_day = 0.5;
+  aging.storm_current_A = 2.0e-9;
+  aging.seed = 7;
+  config.degradation = fault::DegradationModel(aging);
+  config.recalibration_interval_days = 4.0;
+  return config;
+}
+
+/// Bitwise digest of one capture: tenant, then every span and every op in
+/// emission order.
+std::uint64_t capture_digest(const obs::TelemetryCapture& capture) {
+  test::BitDigest d;
+  d.add_u64(static_cast<std::uint64_t>(capture.tenant));
+  for (const obs::TraceEvent& e : capture.spans) {
+    d.add_u64(e.key);
+    d.add_u64(static_cast<std::uint64_t>(e.kind));
+    d.add_u64(e.entity);
+    d.add_u64(e.sequence);
+    d.add_u64(e.tick);
+    d.add(e.time_h);
+    d.add(e.value);
+  }
+  d.add_u64(capture.spans.size());
+  for (const obs::MetricOp& op : capture.ops) {
+    d.add_u64(static_cast<std::uint64_t>(op.type));
+    d.add(op.name);
+    for (const std::int32_t label :
+         {op.labels.tenant, op.labels.shard, op.labels.priority,
+          op.labels.channel, op.labels.subscriber}) {
+      d.add_u64(static_cast<std::uint64_t>(label));
+    }
+    d.add(op.value);
+  }
+  d.add_u64(capture.ops.size());
+  return d.value();
+}
+
+/// Everything a window execution of a log leaves behind, per log index.
+struct WindowedRun {
+  std::vector<std::uint64_t> responses;
+  std::vector<std::uint64_t> captures;
+  RegistryStats stats;
+};
+
+/// Execute `log` on a fresh service over `store` as consecutive windows of
+/// `window` requests (0 = the single-request overload), or -- `reversed`
+/// -- as one window holding the whole log back to front.
+WindowedRun run_windows(quant::CalibrationStore& store,
+                        const std::vector<Request>& log, std::size_t window,
+                        bool reversed = false) {
+  DiagnosticsService service(store, aging_service_config());
+  std::vector<obs::TelemetryCapture> captures(log.size());
+  std::vector<Response> responses(log.size());
+  if (reversed) {
+    const std::vector<Request> backwards(log.rbegin(), log.rend());
+    std::vector<obs::TelemetryCapture*> slots;
+    for (std::size_t k = 0; k < log.size(); ++k) {
+      slots.push_back(&captures[log.size() - 1 - k]);
+    }
+    const std::vector<Response> out = service.execute(backwards, slots);
+    for (std::size_t k = 0; k < log.size(); ++k) {
+      responses[log.size() - 1 - k] = out[k];
+    }
+  } else if (window == 0) {
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      responses[i] = service.execute(log[i], &captures[i]);
+    }
+  } else {
+    for (std::size_t begin = 0; begin < log.size(); begin += window) {
+      const std::size_t n = std::min(window, log.size() - begin);
+      std::vector<obs::TelemetryCapture*> slots;
+      for (std::size_t k = 0; k < n; ++k) slots.push_back(&captures[begin + k]);
+      const std::vector<Response> out = service.execute(
+          std::span<const Request>(log).subspan(begin, n), slots);
+      for (std::size_t k = 0; k < n; ++k) responses[begin + k] = out[k];
+    }
+  }
+  WindowedRun run;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    run.responses.push_back(test::digest_of(responses[i]));
+    run.captures.push_back(capture_digest(captures[i]));
+  }
+  run.stats = service.sessions().stats();
+  return run;
 }
 
 TEST(DiagnosticsService, ValidatesConfiguration) {
@@ -266,6 +366,77 @@ TEST(DiagnosticsService, ExecuteIsPureInTheReplaySense) {
   EXPECT_TRUE(bitwise_equal(first, second));
 }
 
+TEST(DiagnosticsService, WindowsMatchWindowsOfOneBitwise) {
+  // The window oracle: one mixed log -- reads, panels and QC checks on
+  // aging sensors across three calibration epochs -- executed one request
+  // at a time, as windows of 3 and 8, and as one reversed window. Lane
+  // groups form across requests (a panel's two channels, a QC check's
+  // blank and standard, reads of either channel), yet every response,
+  // every capture (spans and ops, in order) and the registry counters
+  // must come out identical.
+  quant::CalibrationStore store(test_campaign());
+  std::vector<Request> log;
+  {
+    const DiagnosticsService planner(store, aging_service_config());
+    TrafficSpec spec;
+    spec.requests = 40;
+    spec.sessions = 5;
+    spec.seed = 17;
+    spec.duration_h = 11.0 * 24.0;  // epochs 0, 1 and 2
+    spec.panel_fraction = 0.3;
+    spec.qc_fraction = 0.25;
+    log = synthesize_traffic(spec, planner);
+  }
+  std::size_t kinds[3] = {0, 0, 0};
+  for (const Request& r : log) ++kinds[static_cast<int>(r.kind)];
+  ASSERT_GT(kinds[0], 0u) << "log has no panel scans";
+  ASSERT_GT(kinds[1], 0u) << "log has no quantified reads";
+  ASSERT_GT(kinds[2], 0u) << "log has no QC checks";
+
+  const WindowedRun reference = run_windows(store, log, 0);
+  EXPECT_GT(reference.stats.calibrations_built, 0u)
+      << "the log never reached a field-recalibration epoch";
+  const struct {
+    const char* name;
+    WindowedRun run;
+  } variants[] = {
+      {"windows of 1", run_windows(store, log, 1)},
+      {"windows of 3", run_windows(store, log, 3)},
+      {"windows of 8", run_windows(store, log, 8)},
+      {"one reversed window", run_windows(store, log, 0, true)},
+  };
+  for (const auto& [name, run] : variants) {
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(run.responses[i], reference.responses[i])
+          << name << ": response " << i << " diverges";
+      EXPECT_EQ(run.captures[i], reference.captures[i])
+          << name << ": capture " << i << " diverges";
+    }
+    EXPECT_EQ(run.stats.sessions, reference.stats.sessions) << name;
+    EXPECT_EQ(run.stats.requests, reference.stats.requests) << name;
+    EXPECT_EQ(run.stats.warm_hits, reference.stats.warm_hits) << name;
+    EXPECT_EQ(run.stats.calibrations_built,
+              reference.stats.calibrations_built)
+        << name;
+  }
+}
+
+TEST(DiagnosticsService, WindowValidatesEveryRequestBeforeMeasuring) {
+  // A malformed request anywhere in a window rejects the whole window
+  // before anything is counted: the registry never sees its neighbours.
+  quant::CalibrationStore store(test_campaign());
+  DiagnosticsService service(store, test_service_config());
+  const std::vector<Request> window = {
+      read_request(0, 0, 1.0), read_request(1, 1, 1.0),
+      read_request(2, /*channel=*/7, 1.0), read_request(3, 0, 1.0)};
+  EXPECT_THROW((void)service.execute(window, {}), std::invalid_argument);
+  EXPECT_EQ(service.sessions().stats().requests, 0u);
+  std::vector<obs::TelemetryCapture*> too_few(1, nullptr);
+  EXPECT_THROW((void)service.execute(std::span<const Request>(window).first(2),
+                                     too_few),
+               std::invalid_argument);
+}
+
 TEST(Scheduler, LiveModeMatchesReplayBitwise) {
   quant::CalibrationStore store(test_campaign());
   ServiceConfig config = test_service_config();
@@ -343,6 +514,67 @@ TEST(Scheduler, LiveModeMatchesReplayBitwise) {
               completed->value);
   }
   EXPECT_EQ(accounted, static_cast<double>(log.size()));
+}
+
+TEST(Scheduler, PrefilledQueueFormsWindowsThatMatchReplay) {
+  // A backlog deeper than the worker count dispatches in windows (the
+  // depth rule gives a worker 1 + min(7, floor((class depth - 1) / 2))
+  // requests of one priority class, and this log is ~75% routine), and
+  // windowed live serving still equals replay bitwise. A window's requests
+  // share one service time -- the window's wall time -- which is how the
+  // sink sees that windows formed.
+  quant::CalibrationStore store(test_campaign());
+  DiagnosticsService service(store, aging_service_config());
+  TrafficSpec spec;
+  spec.requests = 24;
+  spec.sessions = 6;
+  spec.seed = 5;
+  spec.duration_h = 9.0 * 24.0;
+  const std::vector<Request> log = synthesize_traffic(spec, service);
+
+  Scheduler scheduler(service, SchedulerConfig{.queue = {.capacity = 64},
+                                               .workers = 2});
+  const std::vector<Response> replayed = scheduler.replay(log, 1);
+
+  class Recorder final : public ResultSink {
+   public:
+    void on_response(const Response& r) override {
+      const std::lock_guard<std::mutex> lock(mutex);
+      responses.push_back(r);
+    }
+    void on_telemetry(const RequestTelemetry& t) override {
+      const std::lock_guard<std::mutex> lock(mutex);
+      service_times.push_back(t.service_time_s);
+    }
+    void close() override {}
+    std::mutex mutex;
+    std::vector<Response> responses;
+    std::vector<double> service_times;
+  } recorder;
+
+  for (const Request& r : log) {
+    ASSERT_EQ(scheduler.submit(r), Admission::kAccepted);
+  }
+  scheduler.start(&recorder);
+  scheduler.drain_and_stop();
+  ASSERT_EQ(recorder.responses.size(), log.size());
+
+  std::sort(recorder.service_times.begin(), recorder.service_times.end());
+  const bool shared =
+      std::adjacent_find(recorder.service_times.begin(),
+                         recorder.service_times.end()) !=
+      recorder.service_times.end();
+  EXPECT_TRUE(shared) << "no two requests shared a window";
+
+  std::sort(recorder.responses.begin(), recorder.responses.end(),
+            [](const Response& a, const Response& b) {
+              return a.request_id < b.request_id;
+            });
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(test::digest_of(recorder.responses[i]),
+              test::digest_of(replayed[i]))
+        << "request " << i;
+  }
 }
 
 TEST(Scheduler, LiveModeIsOneShot) {
