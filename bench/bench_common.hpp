@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "afe/frontend.hpp"
@@ -36,7 +37,15 @@ inline sim::MeasurementEngine quiet_engine() {
 }
 
 /// Standard bench epilogue: run the registered google-benchmark timings.
+/// The JSON context is stamped with how this tree was built: the installed
+/// google-benchmark's own `library_build_type` describes the library, not
+/// the code under test.
 inline int run_benchmarks(int argc, char** argv) {
+  benchmark::AddCustomContext("idp_build_type", IDP_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("idp_simd", IDP_BENCH_SIMD ? "ON" : "OFF");
+  benchmark::AddCustomContext(
+      "idp_hardware_threads",
+      std::to_string(std::thread::hardware_concurrency()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -35,6 +35,8 @@ BatchedDiffusionField::BatchedDiffusionField(Grid1D grid, std::size_t lanes)
   upper_.resize(n * lanes_);
   rhs_.resize(n * lanes_);
   scratch_.resize(n * lanes_);
+  pivots_.resize(n * lanes_);
+  diag0_base_.resize(lanes_);
 }
 
 void BatchedDiffusionField::check_lane(std::size_t lane) const {
@@ -60,6 +62,7 @@ void BatchedDiffusionField::configure_lane(std::size_t lane,
   c_bulk_[lane] = c_init;
   d_scale_[lane] = 1.0;
   rebuild_face_diffusivity(lane);
+  band_dt_ = 0.0;
   if (!lane_configured_[lane]) {
     lane_configured_[lane] = 1;
     ++configured_;
@@ -88,6 +91,7 @@ void BatchedDiffusionField::rebuild_face_diffusivity(std::size_t lane) {
 void BatchedDiffusionField::set_far_boundary(std::size_t lane, FarBoundary fb) {
   check_lane(lane);
   far_[lane] = fb;
+  band_dt_ = 0.0;
 }
 
 void BatchedDiffusionField::set_bulk_concentration(std::size_t lane, double c) {
@@ -134,6 +138,7 @@ void BatchedDiffusionField::set_diffusivity_scale(std::size_t lane,
   if (scale == d_scale_[lane]) return;
   d_scale_[lane] = scale;
   rebuild_face_diffusivity(lane);
+  band_dt_ = 0.0;
 }
 
 double BatchedDiffusionField::diffusivity_scale(std::size_t lane) const {
@@ -146,29 +151,26 @@ double BatchedDiffusionField::electrode_flux(std::size_t lane) const {
   return flux_[lane];
 }
 
-void BatchedDiffusionField::step(double dt) {
-  util::require(dt > 0.0, "dt must be positive");
-  util::require(configured_ == lanes_, "unconfigured lane in batched step");
+void BatchedDiffusionField::rebuild_bands(double dt) {
   const std::size_t n = grid_.size();
   const std::size_t W = lanes_;
 
-  // Node 0 (electrode): half cell with Robin consumption + injection. The
-  // geometric factors are lane-invariant and hoisted; each lane's a01 is the
-  // same dt*d_face/ (h*w) quotient as the scalar assembly.
+  // Node 0 (electrode): half cell with Robin consumption. The geometric
+  // factors are lane-invariant and hoisted; each lane's a01 is the same
+  // dt*d_face/ (h*w) quotient as the scalar assembly.
   {
     const double w0 = grid_.cv(0);
     const double h0w0 = grid_.h(0) * w0;
-    // The band, concentration, source and per-lane parameter arrays are
-    // separately owned vectors that never alias; `ivdep` tells the
-    // vectorizer so (it cannot prove it across this many pointers and
-    // bails out otherwise, leaving the division-heavy assembly scalar).
+    // The band, diffusivity and per-lane arrays are separately owned
+    // vectors that never alias; `ivdep` tells the vectorizer so (it cannot
+    // prove it across this many pointers and bails out otherwise, leaving
+    // the division-heavy assembly scalar).
 #pragma GCC ivdep
     for (std::size_t l = 0; l < W; ++l) {
       const double a01 = dt * d_face_[l] / h0w0;
       upper_[l] = -a01;
-      diag_[l] = 1.0 + a01 + dt * k_het_[l] / w0;
+      diag0_base_[l] = 1.0 + a01;
       lower_[l] = 0.0;
-      rhs_[l] = c_[l] + dt * (injection_[l] / w0 + source_[l]);
     }
   }
 
@@ -187,7 +189,6 @@ void BatchedDiffusionField::step(double dt) {
       lower_[row + l] = -al;
       upper_[row + l] = -au;
       diag_[row + l] = 1.0 + al + au;
-      rhs_[row + l] = c_[row + l] + dt * source_[row + l];
     }
   }
 
@@ -202,18 +203,63 @@ void BatchedDiffusionField::step(double dt) {
         lower_[row + l] = 0.0;
         upper_[row + l] = 0.0;
         diag_[row + l] = 1.0;
-        rhs_[row + l] = c_bulk_[l];
       } else {  // sealed half cell
         const double al = dt * d_face_[(n - 2) * W + l] / hlw;
         lower_[row + l] = -al;
         upper_[row + l] = 0.0;
         diag_[row + l] = 1.0 + al;
-        rhs_[row + l] = c_[row + l] + dt * source_[row + l];
       }
     }
   }
+  band_dt_ = dt;
+  factored_ = 0;
+}
 
-  solve_tridiagonal_batched(n, W, lower_, diag_, upper_, rhs_, scratch_, c_);
+void BatchedDiffusionField::step(double dt) {
+  util::require(dt > 0.0, "dt must be positive");
+  util::require(configured_ == lanes_, "unconfigured lane in batched step");
+  if (dt != band_dt_) rebuild_bands(dt);
+  const std::size_t n = grid_.size();
+  const std::size_t W = lanes_;
+
+  // Node 0: the electrode rate completes the diagonal; injection and
+  // sources enter the right-hand side.
+  {
+    const double w0 = grid_.cv(0);
+#pragma GCC ivdep
+    for (std::size_t l = 0; l < W; ++l) {
+      diag_[l] = diag0_base_[l] + dt * k_het_[l] / w0;
+      rhs_[l] = c_[l] + dt * (injection_[l] / w0 + source_[l]);
+    }
+  }
+
+  // Interior nodes: every row has the same right-hand side form, so they
+  // run as one flat range.
+#pragma GCC ivdep
+  for (std::size_t k = W; k < (n - 1) * W; ++k) {
+    rhs_[k] = c_[k] + dt * source_[k];
+  }
+
+  // Far boundary: the bulk value for a reservoir, a half cell when sealed.
+  {
+    const std::size_t row = (n - 1) * W;
+    for (std::size_t l = 0; l < W; ++l) {
+      rhs_[row + l] = far_[l] == FarBoundary::kBulkReservoir
+                          ? c_bulk_[l]
+                          : c_[row + l] + dt * source_[row + l];
+    }
+  }
+
+  // Lanes whose electrode consumes nothing keep the cached matrix, so the
+  // leading run of them reuses its factorization -- as far as the last
+  // solve factored them over these bands.
+  std::size_t prefix = 0;
+  while (prefix < W && k_het_[prefix] == 0.0) ++prefix;
+  const std::size_t reuse = std::min(prefix, factored_);
+  factored_ = 0;  // until the solve below has factored the prefix
+  solve_tridiagonal_batched(n, W, lower_, diag_, upper_, rhs_, scratch_, c_,
+                            pivots_, reuse);
+  factored_ = prefix;
   // Same defensive clamp as the scalar path (explicit sink sources can
   // undershoot zero).
   for (double& c : c_) c = std::max(c, 0.0);

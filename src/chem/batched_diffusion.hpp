@@ -16,7 +16,8 @@
 /// field advanced with the same inputs, regardless of lane count or lane
 /// order -- the kernel-equivalence property test pins this. The workspace
 /// honours the zero-allocation steady-state contract: all buffers are sized
-/// at construction and step() never touches the heap.
+/// at construction and step() never touches the heap, cache rebuilds
+/// included.
 #pragma once
 
 #include <span>
@@ -70,6 +71,21 @@ class BatchedDiffusionField {
   /// Advance every lane by dt seconds in one batched tridiagonal solve.
   /// Per-lane electrode consumption fluxes are available from
   /// electrode_flux() afterwards. Allocation-free.
+  ///
+  /// The matrix bands are cached across steps. Every entry except row 0's
+  /// diagonal depends only on dt, the face diffusivities, the far boundary
+  /// and the grid, so step() rebuilds them only when dt differs from the
+  /// cached dt or after configure_lane, set_far_boundary or a
+  /// set_diffusivity_scale that changes the scale. Row 0's diagonal is
+  /// (1 + a01) cached plus dt * k_het / w0 each step: the same two IEEE
+  /// operations, in the same order, as the uncached 1 + a01 + dt*k_het/w0.
+  /// The right-hand side is assembled every step.
+  ///
+  /// The leading run of lanes with k_het == 0 (an oxidase batch's substrate
+  /// lanes) has a constant matrix while the bands hold, so it reuses its
+  /// factorization (solve_tridiagonal_batched's factored prefix). The
+  /// factorization is redone when the bands rebuild or when a prefix lane's
+  /// rate becomes non-zero.
   void step(double dt);
 
   // --- observers -----------------------------------------------------------
@@ -89,6 +105,9 @@ class BatchedDiffusionField {
  private:
   void check_lane(std::size_t lane) const;
   void rebuild_face_diffusivity(std::size_t lane);
+  /// Assemble the cached bands for time step dt (everything but row 0's
+  /// diagonal, whose cached part goes to diag0_base_).
+  void rebuild_bands(double dt);
 
   Grid1D grid_;
   std::size_t lanes_;
@@ -105,8 +124,14 @@ class BatchedDiffusionField {
   bool source_set_ = false;
 
   // persistent assembly + solve buffers; step() reuses them so steady-state
-  // stepping performs zero heap allocations
-  std::vector<double> lower_, diag_, upper_, rhs_, scratch_;
+  // stepping performs zero heap allocations. lower_, upper_ and diag_ rows
+  // >= 1 are the band cache; scratch_ keeps the modified upper band and
+  // pivots_ the pivots of the last solve, the factorization that lanes
+  // [0, factored_) reuse.
+  std::vector<double> lower_, diag_, upper_, rhs_, scratch_, pivots_;
+  std::vector<double> diag0_base_;  ///< per lane 1 + a01 (row 0 diagonal)
+  double band_dt_ = 0.0;  ///< dt of the cached bands; 0 = must rebuild
+  std::size_t factored_ = 0;  ///< leading lanes with a valid factorization
 };
 
 }  // namespace idp::chem

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -71,7 +70,9 @@ void solve_tridiagonal_batched(std::size_t n, std::size_t lanes,
                                std::span<const double> upper,
                                std::span<const double> rhs,
                                std::span<double> scratch,
-                               std::span<double> out) {
+                               std::span<double> out,
+                               std::span<double> pivots,
+                               std::size_t factored) {
   util::require(n >= 1, "empty system");
   util::require(lanes >= 1, "empty lane batch");
   const std::size_t total = n * lanes;
@@ -89,6 +90,14 @@ void solve_tridiagonal_batched(std::size_t n, std::size_t lanes,
                 "out must not alias a band");
   util::require(rhs.data() == out.data() || !overlaps(out, rhs),
                 "rhs/out must alias exactly or not at all");
+  util::require(pivots.empty() || pivots.size() == total,
+                "pivots size mismatch");
+  util::require(!overlaps(pivots, scratch) && !overlaps(pivots, out) &&
+                    !overlaps(pivots, rhs) && !overlaps(pivots, lower) &&
+                    !overlaps(pivots, diag) && !overlaps(pivots, upper),
+                "pivots must not alias any other argument");
+  util::require(factored <= lanes && (factored == 0 || !pivots.empty()),
+                "a factored prefix needs its pivots");
 
   const double* const lo = lower.data();
   const double* const di = diag.data();
@@ -96,58 +105,73 @@ void solve_tridiagonal_batched(std::size_t n, std::size_t lanes,
   const double* const rh = rhs.data();
   double* const sc = scratch.data();
   double* const ou = out.data();
+  // Where a fresh lane parks its pivot between the passes below: the caller's
+  // pivot store when there is one (so the factorization survives the call),
+  // otherwise the scratch slot the modified upper band overwrites next.
+  double* const pv = pivots.empty() ? sc : pivots.data();
+  const std::size_t f = factored;
 
-  // Forward elimination, node-major with the lane loop innermost. min_abs
-  // folds |denom| across every row of every lane so the singularity check
-  // runs once after the sweep instead of branching per element.
+  // Forward elimination, node-major with the lane loop innermost.
   //
-  // Each row runs three lane passes instead of one: (1) compute denom,
-  // update out, park denom in scratch; (2) fold |denom| into min_abs;
-  // (3) overwrite scratch with the modified upper band. Per element the
-  // operations and their order are exactly those of the fused loop -- same
-  // divisions, same operands -- so results stay bitwise identical; the
-  // split exists because a scalar float min reduction inside the lane loop
-  // defeats autovectorization of the division-heavy passes (FP min folds
-  // are not reassociable under strict IEEE semantics, and gcc refuses the
-  // whole loop rather than peel the fold out itself).
+  // Lanes [0, f) reuse their factorization: the pivot from `pv` and the
+  // modified upper band already in `sc`, so only the right-hand side is
+  // eliminated -- the same division by the same pivot as a fresh lane.
+  //
+  // A fresh lane's row runs three passes instead of one: (1) compute the
+  // pivot, update out, park the pivot; (2) fold the singularity predicate
+  // over the parked pivots; (3) overwrite scratch with the modified upper
+  // band. Per element the operations and their order are exactly those of
+  // the fused loop -- same divisions, same operands -- so results stay
+  // bitwise identical; the split keeps the scalar fold out of the
+  // division-heavy passes, which gcc then vectorizes. The fold tests
+  // !(|pivot| > 0), the scalar solver's predicate, so a NaN pivot is
+  // singular here too (a min(|pivot|) fold would silently drop it).
   //
   // The `ivdep` pragmas assert what the overlap preconditions above already
   // guarantee at runtime: within one row the store range [row, row+lanes)
   // and the load range [prev, prev+lanes) are adjacent and disjoint, and
-  // scratch/out never alias the bands, so the lane loop carries no
+  // scratch/out/pivots never alias the bands, so the lane loop carries no
   // dependence the vectorizer must preserve.
-  double min_abs = std::numeric_limits<double>::infinity();
+  bool singular = false;
 #pragma GCC ivdep
-  for (std::size_t l = 0; l < lanes; ++l) {
+  for (std::size_t l = 0; l < f; ++l) {
+    ou[l] = rh[l] / pv[l];
+  }
+#pragma GCC ivdep
+  for (std::size_t l = f; l < lanes; ++l) {
     const double denom = di[l];
     ou[l] = rh[l] / denom;
-    sc[l] = denom;
+    pv[l] = denom;
   }
-  for (std::size_t l = 0; l < lanes; ++l) {
-    min_abs = std::min(min_abs, std::fabs(sc[l]));
+  for (std::size_t l = f; l < lanes; ++l) {
+    singular |= !(std::fabs(pv[l]) > 0.0);
   }
 #pragma GCC ivdep
-  for (std::size_t l = 0; l < lanes; ++l) {
-    sc[l] = up[l] / sc[l];
+  for (std::size_t l = f; l < lanes; ++l) {
+    sc[l] = up[l] / pv[l];
   }
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t row = i * lanes;
     const std::size_t prev = row - lanes;
 #pragma GCC ivdep
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double denom = di[row + l] - lo[row + l] * sc[prev + l];
-      ou[row + l] = (rh[row + l] - lo[row + l] * ou[prev + l]) / denom;
-      sc[row + l] = denom;
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      min_abs = std::min(min_abs, std::fabs(sc[row + l]));
+    for (std::size_t l = 0; l < f; ++l) {
+      ou[row + l] = (rh[row + l] - lo[row + l] * ou[prev + l]) / pv[row + l];
     }
 #pragma GCC ivdep
-    for (std::size_t l = 0; l < lanes; ++l) {
-      sc[row + l] = up[row + l] / sc[row + l];
+    for (std::size_t l = f; l < lanes; ++l) {
+      const double denom = di[row + l] - lo[row + l] * sc[prev + l];
+      ou[row + l] = (rh[row + l] - lo[row + l] * ou[prev + l]) / denom;
+      pv[row + l] = denom;
+    }
+    for (std::size_t l = f; l < lanes; ++l) {
+      singular |= !(std::fabs(pv[row + l]) > 0.0);
+    }
+#pragma GCC ivdep
+    for (std::size_t l = f; l < lanes; ++l) {
+      sc[row + l] = up[row + l] / pv[row + l];
     }
   }
-  util::ensure(min_abs > 0.0, "singular tridiagonal system");
+  util::ensure(!singular, "singular tridiagonal system");
   // Backward substitution in place.
   for (std::size_t i = n - 1; i-- > 0;) {
     const std::size_t row = i * lanes;

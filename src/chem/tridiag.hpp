@@ -46,21 +46,38 @@ std::vector<double> solve_tridiagonal(std::span<const double> lower,
 /// solve_tridiagonal_inplace (division, multiply, subtract in the same
 /// order), so each lane's solution is bitwise identical to a scalar solve
 /// of that lane -- the kernel-equivalence property test pins this. The one
-/// structural difference: singularity is detected by folding the minimum
-/// |denom| across the forward pass and checking once at the end (IEEE
-/// division by zero yields inf, not a trap, so deferring the check changes
-/// nothing for non-singular systems and keeps the inner loop branch-free).
+/// structural difference: singularity is detected by folding the scalar
+/// solver's own predicate, !(|pivot| > 0), across the forward pass and
+/// checking once at the end. IEEE division by zero or by NaN yields inf or
+/// NaN, not a trap, so deferring the check changes nothing for non-singular
+/// systems, and the batch throws exactly when the scalar solve of one of
+/// its lanes would (NaN pivots included).
 ///
-/// `rhs` and `out` may alias the same storage; `scratch` must not alias any
-/// other argument and `out` must not alias a band (both enforced). All
-/// spans must have size n*lanes with n >= 1 and lanes >= 1. `lanes == 1`
-/// degenerates to the scalar solve (same layout, same bits).
+/// Cached factorization. `pivots`, when given, receives every eliminated
+/// lane's pivots (size n*lanes, same layout); together with the modified
+/// upper band the solve leaves in `scratch`, it is the lane's complete
+/// factorization. Lanes [0, factored) then reuse it: their pivots are read
+/// from `pivots` and their modified upper band from `scratch` instead of
+/// being recomputed, so they run only the right-hand-side elimination
+/// (the same division by the same pivot) and the back-substitution. That is
+/// valid only when an earlier call on the same `pivots` and `scratch`
+/// completed over identical lower/diag/upper bands for those lanes, which
+/// the caller guarantees; their pivots were checked then. `factored == 0`
+/// is the plain solve.
+///
+/// `rhs` and `out` may alias the same storage; `scratch` and `pivots` must
+/// not alias any other argument, and `out` must not alias a band (all
+/// enforced). All spans must have size n*lanes with n >= 1 and
+/// lanes >= 1. `lanes == 1` degenerates to the scalar solve (same layout,
+/// same bits).
 void solve_tridiagonal_batched(std::size_t n, std::size_t lanes,
                                std::span<const double> lower,
                                std::span<const double> diag,
                                std::span<const double> upper,
                                std::span<const double> rhs,
                                std::span<double> scratch,
-                               std::span<double> out);
+                               std::span<double> out,
+                               std::span<double> pivots = {},
+                               std::size_t factored = 0);
 
 }  // namespace idp::chem

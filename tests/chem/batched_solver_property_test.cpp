@@ -23,6 +23,7 @@
 #include "chem/grid.hpp"
 #include "chem/tridiag.hpp"
 #include "fault/sensor_state.hpp"
+#include "util/error.hpp"
 #include "util/random.hpp"
 
 namespace idp {
@@ -132,9 +133,147 @@ TEST(BatchedSolver, RhsOutAliasingMatchesNonAliased) {
   }
 }
 
+/// Random strictly diagonally dominant bands (every pivot far from zero).
+struct Bands {
+  std::vector<double> lower, diag, upper, rhs;
+};
+
+Bands random_bands(util::Rng& rng, std::size_t n, std::size_t w) {
+  Bands b{std::vector<double>(n * w), std::vector<double>(n * w),
+          std::vector<double>(n * w), std::vector<double>(n * w)};
+  for (std::size_t k = 0; k < n * w; ++k) {
+    b.lower[k] = rng.uniform(-1.0, 1.0);
+    b.upper[k] = rng.uniform(-1.0, 1.0);
+    b.diag[k] = 3.0 + rng.uniform(0.0, 1.0);
+    b.rhs[k] = rng.uniform(-2.0, 2.0);
+  }
+  return b;
+}
+
+/// True when the scalar solve of lane `lane` of `b` throws.
+bool scalar_lane_throws(const Bands& b, std::size_t n, std::size_t w,
+                        std::size_t lane) {
+  std::vector<double> lo(n), di(n), up(n), rh(n), sc(n), out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lo[i] = b.lower[i * w + lane];
+    di[i] = b.diag[i * w + lane];
+    up[i] = b.upper[i * w + lane];
+    rh[i] = b.rhs[i * w + lane];
+  }
+  try {
+    chem::solve_tridiagonal_inplace(lo, di, up, rh, sc, out);
+  } catch (const util::Error&) {
+    return true;
+  }
+  return false;
+}
+
+// A NaN or zero pivot anywhere makes the scalar solve throw; the batched
+// solve must throw exactly when the scalar solve of one of its lanes does,
+// at every row, lane position and width, with and without a pivot store.
+// A NaN right-hand side must not throw on either path.
+TEST(BatchedSolver, SingularPivotsThrowLikeScalarSolver) {
+  constexpr std::size_t n = 9;
+  enum class Poison { kNanDiag, kZeroPivot, kNegZeroPivot, kNanRhs };
+  util::Rng rng(4242);
+  for (std::size_t w : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t row : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+      for (std::size_t lane : {std::size_t{0}, w / 2, w - 1}) {
+        for (Poison poison : {Poison::kNanDiag, Poison::kZeroPivot,
+                              Poison::kNegZeroPivot, Poison::kNanRhs}) {
+          Bands b = random_bands(rng, n, w);
+          const std::size_t k = row * w + lane;
+          switch (poison) {
+            case Poison::kNanDiag:
+              b.diag[k] = std::nan("");
+              break;
+            case Poison::kZeroPivot:
+            case Poison::kNegZeroPivot:
+              // pivot = diag - lower * c'_prev; a zero lower band makes it
+              // exactly the diagonal entry.
+              b.lower[k] = 0.0;
+              b.diag[k] = poison == Poison::kZeroPivot ? 0.0 : -0.0;
+              break;
+            case Poison::kNanRhs:
+              b.rhs[k] = std::nan("");
+              break;
+          }
+          bool expect_throw = false;
+          for (std::size_t l = 0; l < w; ++l) {
+            expect_throw |= scalar_lane_throws(b, n, w, l);
+          }
+          EXPECT_EQ(expect_throw, poison != Poison::kNanRhs);
+
+          std::vector<double> scratch(n * w), out(n * w), pivots(n * w);
+          bool threw = false;
+          try {
+            chem::solve_tridiagonal_batched(n, w, b.lower, b.diag, b.upper,
+                                            b.rhs, scratch, out);
+          } catch (const util::Error&) {
+            threw = true;
+          }
+          EXPECT_EQ(threw, expect_throw)
+              << "width " << w << ", row " << row << ", lane " << lane;
+          threw = false;
+          try {
+            chem::solve_tridiagonal_batched(n, w, b.lower, b.diag, b.upper,
+                                            b.rhs, scratch, out, pivots);
+          } catch (const util::Error&) {
+            threw = true;
+          }
+          EXPECT_EQ(threw, expect_throw)
+              << "with pivots: width " << w << ", row " << row << ", lane "
+              << lane;
+        }
+      }
+    }
+  }
+}
+
+// A factored prefix reuses the pivots and modified upper band of an earlier
+// solve over the same bands: its solutions for fresh right-hand sides must
+// equal a plain solve bitwise, while the lanes after the prefix take new
+// bands every call.
+TEST(BatchedSolver, FactoredPrefixMatchesFreshSolveBitwise) {
+  util::Rng rng(31337);
+  for (std::size_t w : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t prefix = 0; prefix <= w; ++prefix) {
+      const std::size_t n = 2 + static_cast<std::size_t>(rng.index(40));
+      Bands b = random_bands(rng, n, w);
+      std::vector<double> scratch(n * w), out(n * w), pivots(n * w);
+      chem::solve_tridiagonal_batched(n, w, b.lower, b.diag, b.upper, b.rhs,
+                                      scratch, out, pivots);
+      for (int call = 0; call < 4; ++call) {
+        const Bands next = random_bands(rng, n, w);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t l = prefix; l < w; ++l) {
+            const std::size_t k = i * w + l;
+            b.lower[k] = next.lower[k];
+            b.diag[k] = next.diag[k];
+            b.upper[k] = next.upper[k];
+          }
+        }
+        b.rhs = next.rhs;
+        chem::solve_tridiagonal_batched(n, w, b.lower, b.diag, b.upper, b.rhs,
+                                        scratch, out, pivots, prefix);
+        std::vector<double> fresh_scratch(n * w), fresh(n * w);
+        chem::solve_tridiagonal_batched(n, w, b.lower, b.diag, b.upper, b.rhs,
+                                        fresh_scratch, fresh);
+        for (std::size_t k = 0; k < n * w; ++k) {
+          expect_bits_equal(out[k], fresh[k], "factored solution", k % w,
+                            k / w);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BatchedDiffusionField vs DiffusionField: random grids, random per-lane
-// boundary conditions, diffusivities, fouling scales and step-wise sources.
+// boundary conditions, diffusivities, fouling scales and step-wise sources,
+// over long runs that change dt, scales, far boundaries, rates and lane
+// configuration mid-run -- every path that invalidates the band cache or
+// the cached factorization.
 // ---------------------------------------------------------------------------
 
 chem::Grid1D random_grid(util::Rng& rng) {
@@ -153,46 +292,118 @@ chem::Grid1D random_grid(util::Rng& rng) {
   }
 }
 
+std::vector<double> random_diffusivity(util::Rng& rng, std::size_t nodes) {
+  std::vector<double> d(nodes);
+  for (double& v : d) v = rng.uniform(1.0e-10, 2.0e-9);
+  return d;
+}
+
+chem::FarBoundary flipped(chem::FarBoundary fb) {
+  return fb == chem::FarBoundary::kBulkReservoir
+             ? chem::FarBoundary::kSealed
+             : chem::FarBoundary::kBulkReservoir;
+}
+
 void check_random_fields(util::Rng& rng, std::size_t w) {
   const chem::Grid1D grid = random_grid(rng);
   const std::size_t nodes = grid.size();
   chem::BatchedDiffusionField batch(grid, w);
   std::vector<std::unique_ptr<chem::DiffusionField>> scalar;
+  // Settings a reconfigured lane keeps (configure_lane resets only the
+  // diffusivity, scale, profile and bulk value).
+  std::vector<chem::FarBoundary> far(w);
+  std::vector<double> k_het(w), injection(w);
 
   for (std::size_t lane = 0; lane < w; ++lane) {
-    std::vector<double> d(nodes);
-    for (double& v : d) v = rng.uniform(1.0e-10, 2.0e-9);
+    const std::vector<double> d = random_diffusivity(rng, nodes);
     const double c_init = rng.uniform(0.0, 2.0);
-    const auto far = rng.index(2) == 0 ? chem::FarBoundary::kBulkReservoir
-                                       : chem::FarBoundary::kSealed;
+    far[lane] = rng.index(2) == 0 ? chem::FarBoundary::kBulkReservoir
+                                  : chem::FarBoundary::kSealed;
     const double bulk = rng.uniform(0.0, 3.0);
-    const double k_het = rng.uniform(0.0, 1.0e-4);
-    const double injection = rng.uniform(-1.0e-7, 1.0e-6);
+    // Lane 0 and about half of the others consume nothing, so the batch
+    // carries a leading run of lanes that reuse their factorization.
+    k_het[lane] = lane == 0 || rng.index(2) == 0 ? 0.0
+                                                 : rng.uniform(0.0, 1.0e-4);
+    injection[lane] = rng.uniform(-1.0e-7, 1.0e-6);
     const double scale = rng.index(2) == 0 ? 1.0 : rng.uniform(0.5, 1.5);
 
     batch.configure_lane(lane, d, c_init);
-    batch.set_far_boundary(lane, far);
+    batch.set_far_boundary(lane, far[lane]);
     batch.set_bulk_concentration(lane, bulk);
-    batch.set_electrode_rate(lane, k_het);
-    batch.set_electrode_injection(lane, injection);
+    batch.set_electrode_rate(lane, k_het[lane]);
+    batch.set_electrode_injection(lane, injection[lane]);
     batch.set_diffusivity_scale(lane, scale);
 
     auto field = std::make_unique<chem::DiffusionField>(grid, d, c_init);
-    field->set_far_boundary(far);
+    field->set_far_boundary(far[lane]);
     field->set_bulk_concentration(bulk);
-    field->set_electrode_rate(k_het);
-    field->set_electrode_injection(injection);
+    field->set_electrode_rate(k_het[lane]);
+    field->set_electrode_injection(injection[lane]);
     field->set_diffusivity_scale(scale);
     scalar.push_back(std::move(field));
   }
+  auto random_lane = [&] { return static_cast<std::size_t>(rng.index(w)); };
 
-  const double dt = 5.0e-3;
+  double dt = 5.0e-3;
+  std::size_t scaled_lane = 0;
   std::vector<double> source(nodes);
-  for (int k = 0; k < 20; ++k) {
+  for (int k = 0; k < 240; ++k) {
+    // Mid-run changes, each on both paths; every one of them invalidates a
+    // cache of the batched field.
+    switch (k) {
+      case 30:
+        dt = 2.0e-3;
+        break;
+      case 50: {
+        scaled_lane = random_lane();
+        const double scale = rng.uniform(0.5, 1.5);
+        batch.set_diffusivity_scale(scaled_lane, scale);
+        scalar[scaled_lane]->set_diffusivity_scale(scale);
+        break;
+      }
+      case 70: {
+        const std::size_t lane = random_lane();
+        far[lane] = flipped(far[lane]);
+        batch.set_far_boundary(lane, far[lane]);
+        scalar[lane]->set_far_boundary(far[lane]);
+        break;
+      }
+      case 90:  // lane 0 leaves the zero-rate prefix...
+      case 110: {  // ...and rejoins it
+        k_het[0] = k == 90 ? rng.uniform(1.0e-6, 1.0e-4) : 0.0;
+        batch.set_electrode_rate(0, k_het[0]);
+        scalar[0]->set_electrode_rate(k_het[0]);
+        break;
+      }
+      case 130:  // back to the constructed coefficients
+        batch.set_diffusivity_scale(scaled_lane, 1.0);
+        scalar[scaled_lane]->set_diffusivity_scale(1.0);
+        break;
+      case 150: {
+        const std::size_t lane = random_lane();
+        const std::vector<double> d = random_diffusivity(rng, nodes);
+        const double c_init = rng.uniform(0.0, 2.0);
+        batch.configure_lane(lane, d, c_init);
+        auto field = std::make_unique<chem::DiffusionField>(grid, d, c_init);
+        field->set_far_boundary(far[lane]);
+        field->set_electrode_rate(k_het[lane]);
+        field->set_electrode_injection(injection[lane]);
+        scalar[lane] = std::move(field);
+        break;
+      }
+      case 170:  // the calibration step a cloned prototype was factored at
+        dt = 5.0e-2;
+        break;
+      case 200:
+        dt = 5.0e-3;
+        break;
+      default:
+        break;
+    }
     // Every third step feeds one random lane a random volumetric source;
     // the clear-after-step contract must behave identically on both paths.
     if (k % 3 == 0) {
-      const std::size_t lane = static_cast<std::size_t>(rng.index(w));
+      const std::size_t lane = random_lane();
       for (double& v : source) v = rng.uniform(-2.0e-4, 5.0e-4);
       batch.set_source(lane, source);
       scalar[lane]->set_source(source);

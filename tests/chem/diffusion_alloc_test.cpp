@@ -178,6 +178,39 @@ TEST(DiffusionAlloc, BatchedFieldStepIsAllocationFree) {
   EXPECT_EQ(n_alloc, 0u);
 }
 
+// The band cache and the cached factorization are rebuilt inside step()
+// into buffers sized at construction: the first step after each kind of
+// invalidation stays allocation-free too.
+TEST(DiffusionAlloc, BatchedFieldStepAfterInvalidationIsAllocationFree) {
+  chem::Grid1D grid = chem::Grid1D::membrane_bulk(50e-6, 26, 1.18, 60e-6);
+  chem::BatchedDiffusionField batch(grid, 4);
+  const std::vector<double> d(grid.size(), 1.2e-9);
+  for (std::size_t lane = 0; lane < batch.lanes(); ++lane) {
+    batch.configure_lane(lane, 1.0e-9, 1.0);
+    batch.set_bulk_concentration(lane, 1.0);
+    // Lanes 0 and 1 consume nothing: the factored prefix.
+    batch.set_electrode_rate(lane, lane < 2 ? 0.0 : 1.0e-5);
+  }
+  batch.step(5.0e-3);  // warm-up
+
+  const std::function<void()> invalidations[] = {
+      [&] { batch.step(2.0e-3); },  // dt change
+      [&] { batch.set_diffusivity_scale(1, 0.7); },
+      [&] { batch.set_diffusivity_scale(1, 1.0); },
+      [&] { batch.set_far_boundary(2, chem::FarBoundary::kSealed); },
+      [&] { batch.set_electrode_rate(0, 1.0e-5); },  // prefix shrinks
+      [&] { batch.set_electrode_rate(0, 0.0); },     // and grows back
+      [&] { batch.configure_lane(3, d, 0.5); },
+  };
+  for (const auto& invalidate : invalidations) {
+    const std::size_t n_alloc = allocations_during([&] {
+      invalidate();
+      batch.step(2.0e-3);
+    });
+    EXPECT_EQ(n_alloc, 0u);
+  }
+}
+
 // Same contract one layer up: the panel-level oxidase lane batch steps W
 // probes (2W solver lanes) with zero heap allocations after construction.
 TEST(DiffusionAlloc, OxidaseLaneBatchStepIsAllocationFree) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -56,6 +58,94 @@ TEST(Rng, ReseedReproduces) {
   rng.gaussian();
   rng.reseed(77);
   EXPECT_DOUBLE_EQ(rng.gaussian(), first);
+}
+
+// ---------------------------------------------------------------------------
+// The lazy engine against std::mt19937_64, the reference it must equal.
+// ---------------------------------------------------------------------------
+
+// Fixed edge seeds plus a few drawn ones. 1200 draws cross draw 156 (the
+// seeding recurrence completes), 312 (the second round starts), 624 and 936.
+std::vector<std::uint64_t> oracle_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0},
+                                      0x9e3779b97f4a7c15ULL};
+  std::mt19937_64 pick(20261017);
+  for (int i = 0; i < 4; ++i) seeds.push_back(pick());
+  return seeds;
+}
+constexpr int kOracleDraws = 1200;
+
+TEST(Mt19937_64, RawOutputMatchesStdEngine) {
+  for (std::uint64_t seed : oracle_seeds()) {
+    Mt19937_64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    for (int k = 0; k < kOracleDraws; ++k) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << ", draw " << k;
+    }
+  }
+}
+
+TEST(Mt19937_64, ReseedMidStreamMatchesStdEngine) {
+  for (std::uint64_t seed : oracle_seeds()) {
+    // Reseed inside the first round (seeding incomplete), at its end and
+    // in a later round.
+    for (int at : {0, 7, 155, 312, 700}) {
+      Mt19937_64 lazy(seed);
+      std::mt19937_64 ref(seed);
+      for (int k = 0; k < at; ++k) ASSERT_EQ(lazy(), ref());
+      lazy.seed(seed ^ 0xabcdefULL);
+      ref.seed(seed ^ 0xabcdefULL);
+      for (int k = 0; k < kOracleDraws; ++k) {
+        ASSERT_EQ(lazy(), ref()) << "seed " << seed << ", reseeded after "
+                                 << at << ", draw " << k;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64, CopyDuringFirstRoundContinuesBothStreams) {
+  for (std::uint64_t seed : oracle_seeds()) {
+    for (int at : {0, 3, 100, 200}) {
+      Mt19937_64 lazy(seed);
+      std::mt19937_64 ref(seed);
+      for (int k = 0; k < at; ++k) ASSERT_EQ(lazy(), ref());
+      Mt19937_64 copy = lazy;
+      std::mt19937_64 ref_copy = ref;
+      // Draw the original first, then the copy: the copy must not share
+      // state with the original's seeding progress.
+      for (int k = 0; k < kOracleDraws; ++k) ASSERT_EQ(lazy(), ref());
+      for (int k = 0; k < kOracleDraws; ++k) {
+        ASSERT_EQ(copy(), ref_copy()) << "seed " << seed << ", copied after "
+                                      << at << ", draw " << k;
+      }
+    }
+  }
+}
+
+TEST(Rng, DrawsMatchTheWrapperOverStdEngine) {
+  for (std::uint64_t seed : oracle_seeds()) {
+    Rng rng(seed);
+    BasicRng<std::mt19937_64> ref(seed);
+    // Interleave the three draw kinds so the normal distribution's cached
+    // second deviate and the raw index draws share one stream.
+    for (int k = 0; k < kOracleDraws; ++k) {
+      switch (k % 4) {
+        case 0:
+        case 1:
+          ASSERT_EQ(rng.gaussian(), ref.gaussian()) << "draw " << k;
+          break;
+        case 2:
+          ASSERT_EQ(rng.uniform(-3.0, 7.0), ref.uniform(-3.0, 7.0))
+              << "draw " << k;
+          break;
+        default:
+          ASSERT_EQ(rng.index(1000003), ref.index(1000003)) << "draw " << k;
+      }
+    }
+    rng.reseed(seed + 1);
+    ref.reseed(seed + 1);
+    for (int k = 0; k < 200; ++k) ASSERT_EQ(rng.gaussian(2.5), ref.gaussian(2.5));
+  }
 }
 
 TEST(PinkNoise, RmsApproximatesSigma) {
