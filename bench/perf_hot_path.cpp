@@ -1,7 +1,8 @@
 /// \file perf_hot_path.cpp
 /// Hot-path performance trajectory bench: times the tridiagonal solver
 /// kernel (scalar and SoA lane-batched), a single diffusion-field step,
-/// single-channel CA/CV runs, the multiplexed panel scan at several
+/// single-channel CA/CV runs, CYP voltammetry lanes through the
+/// measurement executor, the multiplexed panel scan at several
 /// (parallelism, lane width) points and a full design-space exploration.
 /// Writes google-benchmark JSON to
 /// BENCH_hot_path.json (override with --benchmark_out=...) so successive
@@ -126,6 +127,45 @@ void BM_SingleChannelCV(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SingleChannelCV);
+
+/// Eight CYP sweeps of one lane class (clozapine films at eight
+/// concentrations, each on its own front end) as one executor batch at
+/// parallelism 1. lanes=1 is the scalar path; lanes=3 is a cohort
+/// timepoint's QC blank + standard + scan, lanes=8 a campaign's blanks.
+/// Items are runs, so items_per_second compares widths per run.
+void BM_CvLanes(benchmark::State& state) {
+  static const std::vector<bio::ProbePtr> probes = [] {
+    const bio::ProbePtr prototype = bio::make_probe(bio::TargetId::kClozapine);
+    std::vector<bio::ProbePtr> built;
+    for (int i = 0; i < 8; ++i) {
+      built.push_back(prototype->clone());
+      built.back()->set_bulk_concentration("clozapine", 0.1 * i);
+    }
+    return built;
+  }();
+  sim::EngineConfig cfg;
+  cfg.batch_lanes = static_cast<std::size_t>(state.range(0));
+  const sim::MeasurementEngine engine{cfg};
+  sim::CyclicVoltammetryProtocol p;
+  p.e_start = 0.1;
+  p.e_vertex = -0.65;
+  p.scan_rate = 0.02;
+  std::vector<afe::AnalogFrontEnd> fes;
+  fes.reserve(probes.size());
+  std::vector<sim::Measurement> batch;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    fes.push_back(bench::lab_frontend(20 + i));
+    batch.push_back(sim::Measurement{i + 1,
+                                     sim::Channel{probes[i].get(), nullptr},
+                                     p, &fes.back()});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.execute(batch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_CvLanes)->Arg(1)->Arg(3)->Arg(8)->ArgName("lanes");
 
 // ----------------------------------------------------------- panel scan
 

@@ -14,9 +14,7 @@ namespace idp::bio {
 
 namespace {
 
-constexpr int kElectronsPerTurnover = 2;  // Eq. 4: 2 e- per substrate
-
-chem::Grid1D drug_grid(const CypProbeParams& p) {
+chem::Grid1D make_drug_grid(const CypProbeParams& p) {
   return chem::Grid1D::expanding(2.0e-6, 1.15, p.nernst_layer);
 }
 
@@ -33,7 +31,7 @@ double derive_kcat(const CypProbeParams& probe, const CypTargetParams& target) {
   // current per area is  i/A = n F kcat Gamma_k C / km  for C << km, so
   //   kcat = S km / (n F Gamma_k).
   return target.sensitivity * target.km /
-         (kElectronsPerTurnover * util::kFaraday * coverage_k);
+         (CypProbe::kElectronsPerTurnover * util::kFaraday * coverage_k);
 }
 
 CypProbe::CypProbe(CypProbeParams params) : params_(std::move(params)) {
@@ -56,7 +54,7 @@ CypProbe::CypProbe(CypProbeParams params) : params_(std::move(params)) {
         .kcat = derive_kcat(params_, t),
         .coverage = coverage_k,
         .theta_red = 0.0,
-        .drug = chem::DiffusionField(drug_grid(params_), t.d_drug, 0.0),
+        .drug = chem::DiffusionField(make_drug_grid(params_), t.d_drug, 0.0),
         .bulk = 0.0,
     };
     s.drug.set_bulk_concentration(0.0);
@@ -164,9 +162,7 @@ std::vector<std::string> CypProbe::targets() const {
 }
 
 void CypProbe::apply_sensor_state(const fault::SensorState& state) {
-  util::require(state.enzyme_activity > 0.0 &&
-                    state.membrane_transmission > 0.0,
-                "sensor state must keep activity and transmission positive");
+  fault::require_physical(state);
   enzyme_activity_ = state.enzyme_activity;
   for (auto& s : states_) {
     // set_diffusivity_scale no-ops when the scale is unchanged.

@@ -55,6 +55,9 @@ double derive_kcat(const CypProbeParams& probe, const CypTargetParams& target);
 /// Concrete CYP450 film probe (cyclic voltammetry).
 class CypProbe final : public Probe {
  public:
+  /// Electrons transferred per catalytic turnover (Eq. 4).
+  static constexpr int kElectronsPerTurnover = 2;
+
   explicit CypProbe(CypProbeParams params);
 
   ProbePtr clone() const override { return std::make_unique<CypProbe>(*this); }
@@ -83,7 +86,16 @@ class CypProbe final : public Probe {
   /// Calibrated turnover of target k [1/s] (for white-box tests).
   double kcat(std::size_t k) const;
 
+  /// Grid of the drug supply fields (every target shares it). CypLaneBatch
+  /// gathers probes with node-identical drug grids into one batched field.
+  const chem::Grid1D& drug_grid() const { return states_.front().drug.grid(); }
+
  private:
+  // CypLaneBatch steps W probes in lockstep through one batched drug field;
+  // it copies each target's calibrated state and must reproduce step()
+  // bit-for-bit per lane.
+  friend class CypLaneBatch;
+
   struct TargetState {
     CypTargetParams params;
     chem::RedoxCouple heme;        ///< surface couple at the drug's potential

@@ -39,9 +39,7 @@ OxidaseLaneBatch::OxidaseLaneBatch(
                   "lane batch requires node-identical grids");
     const OxidaseProbeParams& p = probe.params();
     const fault::SensorState& sensor = *sensors[c];
-    util::require(sensor.enzyme_activity > 0.0 &&
-                      sensor.membrane_transmission > 0.0,
-                  "sensor state must keep activity and transmission positive");
+    fault::require_physical(sensor);
 
     // Substrate lane c / peroxide lane w+c. The diffusivity layering uses
     // the probe's own grid (node-identical to the shared one), so per-lane

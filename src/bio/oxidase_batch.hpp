@@ -36,8 +36,9 @@ namespace idp::bio {
 class OxidaseLaneBatch {
  public:
   /// All probes must share node-identical grids (enforced); sensor states
-  /// must keep activity and transmission positive, as apply_sensor_state
-  /// requires. `probes.size() == sensors.size() >= 1`.
+  /// must keep activity and transmission finite and positive
+  /// (fault::require_physical, as apply_sensor_state).
+  /// `probes.size() == sensors.size() >= 1`.
   OxidaseLaneBatch(std::span<OxidaseProbe* const> probes,
                    std::span<const fault::SensorState* const> sensors);
 

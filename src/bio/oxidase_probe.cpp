@@ -132,9 +132,7 @@ void OxidaseProbe::calibrate_loading() {
 }
 
 void OxidaseProbe::apply_sensor_state(const fault::SensorState& state) {
-  util::require(state.enzyme_activity > 0.0 &&
-                    state.membrane_transmission > 0.0,
-                "sensor state must keep activity and transmission positive");
+  fault::require_physical(state);
   enzyme_activity_ = state.enzyme_activity;
   // Fouling throttles substrate ingress through the (already
   // rate-limiting) outer membrane; H2O2 egress is left untouched -- the

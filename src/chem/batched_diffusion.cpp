@@ -8,6 +8,7 @@
 #include "chem/batched_diffusion.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "chem/tridiag.hpp"
 #include "util/error.hpp"
@@ -134,7 +135,8 @@ void BatchedDiffusionField::fill(std::size_t lane, double c) {
 void BatchedDiffusionField::set_diffusivity_scale(std::size_t lane,
                                                   double scale) {
   check_lane(lane);
-  util::require(scale > 0.0, "diffusivity scale must be positive");
+  util::require(std::isfinite(scale) && scale > 0.0,
+                "diffusivity scale must be finite and positive");
   if (scale == d_scale_[lane]) return;
   d_scale_[lane] = scale;
   rebuild_face_diffusivity(lane);

@@ -5,6 +5,7 @@
 #include "chem/diffusion.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "chem/tridiag.hpp"
 #include "util/error.hpp"
@@ -50,7 +51,8 @@ void DiffusionField::rebuild_face_diffusivity() {
 }
 
 void DiffusionField::set_diffusivity_scale(double scale) {
-  util::require(scale > 0.0, "diffusivity scale must be positive");
+  util::require(std::isfinite(scale) && scale > 0.0,
+                "diffusivity scale must be finite and positive");
   if (scale == d_scale_) return;
   d_scale_ = scale;
   rebuild_face_diffusivity();

@@ -56,7 +56,7 @@ class DiffusionField {
   void fill(double c);
 
   /// Uniformly scale the effective diffusivity to `scale` times the
-  /// constructed base values (must be > 0). Models a fouling film whose
+  /// constructed base values (must be finite and > 0). Models a fouling film whose
   /// growing diffusion resistance throttles transport without rebuilding
   /// the field: the concentration profile and boundary state persist.
   /// Scale 1 restores the exact constructed coefficients.

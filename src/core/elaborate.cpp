@@ -171,32 +171,34 @@ dsp::CalibrationCurve ElaboratedPlatform::calibrate_seeded(
   // Zero every co-target so calibrations are independent.
   for (const auto& t : probe.targets()) probe.set_bulk_concentration(t, 0.0);
 
-  std::uint64_t next_id = run_id_base;
-  auto run_once = [&]() -> double {
-    const std::uint64_t run_id = ++next_id;
-    const sim::Channel channel{&probe, &rt.electrode};
-    if (std::holds_alternative<sim::ChronoamperometryProtocol>(rt.protocol)) {
-      const auto& p = std::get<sim::ChronoamperometryProtocol>(rt.protocol);
-      const sim::Trace trace = engine_.run_chronoamperometry_seeded(
-          run_id, channel, p, rt.frontend);
-      return response_of(target, e, trace, sim::CvCurve{});
-    }
-    const auto& p = std::get<sim::CyclicVoltammetryProtocol>(rt.protocol);
-    const sim::CvCurve curve = engine_.run_cyclic_voltammetry_seeded(
-        run_id, channel, p, rt.frontend);
-    return response_of(target, e, sim::Trace{}, curve);
+  // The calibration is one executor batch on the electrode's front end:
+  // the blanks on the zero-bulk probe itself, then one clone per level.
+  const std::size_t blanks =
+      calibration_run_count(concentrations.size()) - concentrations.size();
+  std::vector<bio::ProbePtr> clones;
+  std::vector<sim::Measurement> batch;
+  std::uint64_t run_id = run_id_base;
+  for (std::size_t b = 0; b < blanks; ++b) {
+    batch.push_back({++run_id, sim::Channel{&probe, &rt.electrode},
+                     rt.protocol, &rt.frontend});
+  }
+  for (const double c : concentrations) {
+    clones.push_back(probe.clone());
+    clones.back()->set_bulk_concentration(name, c);
+    batch.push_back({++run_id, sim::Channel{clones.back().get(), &rt.electrode},
+                     rt.protocol, &rt.frontend});
+  }
+  const std::vector<sim::Readout> readouts = engine_.execute(batch);
+  const auto response = [&](std::size_t i) {
+    return response_of(target, e, readouts[i].amperogram,
+                       readouts[i].voltammogram);
   };
 
   dsp::CalibrationCurve curve;
-  probe.set_bulk_concentration(name, 0.0);
-  for (int b = 0; b < options_.blank_measurements; ++b) {
-    curve.add_blank(run_once());
+  for (std::size_t b = 0; b < blanks; ++b) curve.add_blank(response(b));
+  for (std::size_t k = 0; k < concentrations.size(); ++k) {
+    curve.add_point(concentrations[k], response(blanks + k));
   }
-  for (double c : concentrations) {
-    probe.set_bulk_concentration(name, c);
-    curve.add_point(c, run_once());
-  }
-  probe.set_bulk_concentration(name, 0.0);
   return curve;
 }
 

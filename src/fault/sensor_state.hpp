@@ -11,6 +11,10 @@
 /// which the golden-trace fixtures pin against the pre-fault platform.
 #pragma once
 
+#include <cmath>
+
+#include "util/error.hpp"
+
 namespace idp::fault {
 
 /// Snapshot of one sensor channel's condition at a given age.
@@ -53,5 +57,20 @@ struct SensorState {
            storm_noise_mult == 1.0;
   }
 };
+
+/// Reject a state no sensor can be in: enzyme activity and membrane
+/// transmission must be finite and positive (std::invalid_argument
+/// otherwise). Every consumer that scales physics by them -- the probes'
+/// apply_sensor_state and the lane batches -- checks here, so +inf fails at
+/// the input instead of as a NaN current or a singular solve many steps
+/// later.
+inline void require_physical(const SensorState& state) {
+  util::require(std::isfinite(state.enzyme_activity) &&
+                    state.enzyme_activity > 0.0 &&
+                    std::isfinite(state.membrane_transmission) &&
+                    state.membrane_transmission > 0.0,
+                "sensor state must keep activity and transmission finite "
+                "and positive");
+}
 
 }  // namespace idp::fault

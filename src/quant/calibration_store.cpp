@@ -121,32 +121,9 @@ Calibration CalibrationStore::build_calibration(
     const fault::SensorState& sensor, std::uint64_t first_run_id,
     std::uint64_t frontend_seed) const {
   const bio::TargetSpec& spec = bio::spec(target);
-  bio::ProbePtr probe = prototype(target).clone();
+  const std::string name = bio::to_string(target);
   afe::AnalogFrontEnd frontend(
       campaign_frontend_config(config_, frontend_seed));
-  const std::string name = bio::to_string(target);
-
-  std::uint64_t next_id = first_run_id;
-  auto run_once = [&]() -> double {
-    const std::uint64_t run_id = ++next_id;
-    const sim::Channel channel{probe.get(), nullptr, sensor};
-    if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-      const auto& p = std::get<sim::ChronoamperometryProtocol>(protocol);
-      const sim::Trace trace =
-          engine_.run_chronoamperometry_seeded(run_id, channel, p, frontend);
-      return panel_response(target, trace, sim::CvCurve{});
-    }
-    const auto& p = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-    const sim::CvCurve curve =
-        engine_.run_cyclic_voltammetry_seeded(run_id, channel, p, frontend);
-    return panel_response(target, sim::Trace{}, curve);
-  };
-
-  Calibration calibration;
-  probe->set_bulk_concentration(name, 0.0);
-  for (int b = 0; b < config_.blank_measurements; ++b) {
-    calibration.curve.add_blank(run_once());
-  }
 
   // Concentration sweep across the probe's specified linear range
   // (mM == mol/m^3), endpoints included.
@@ -154,13 +131,44 @@ Calibration CalibrationStore::build_calibration(
   const double hi = spec.linear_hi_mM;
   util::ensure(hi > lo, "probe spec has a degenerate linear range");
   const int n = config_.calibration_points;
+  std::vector<double> levels;
   for (int i = 0; i < n; ++i) {
     const double f = static_cast<double>(i) / static_cast<double>(n - 1);
-    const double c = lo + f * (hi - lo);
-    probe->set_bulk_concentration(name, c);
-    calibration.curve.add_point(c, run_once());
+    levels.push_back(lo + f * (hi - lo));
   }
 
+  // The whole campaign is one executor batch on one front end: the blanks,
+  // then one run per level, with consecutive run ids. One prototype clone
+  // per distinct probe state -- every blank measures the zero-bulk clone.
+  const bio::Probe& base = prototype(target);
+  std::vector<bio::ProbePtr> probes;
+  std::vector<sim::Measurement> batch;
+  std::uint64_t run_id = first_run_id;
+  const auto add_runs = [&](double c, int count) {
+    probes.push_back(base.clone());
+    probes.back()->set_bulk_concentration(name, c);
+    for (int k = 0; k < count; ++k) {
+      batch.push_back({++run_id,
+                       sim::Channel{probes.back().get(), nullptr, sensor},
+                       protocol, &frontend});
+    }
+  };
+  add_runs(0.0, config_.blank_measurements);
+  for (const double c : levels) add_runs(c, 1);
+  const std::vector<sim::Readout> readouts = engine_.execute(batch);
+
+  Calibration calibration;
+  const auto response = [&](std::size_t i) {
+    return panel_response(target, readouts[i].amperogram,
+                          readouts[i].voltammogram);
+  };
+  const auto blanks = static_cast<std::size_t>(config_.blank_measurements);
+  for (std::size_t b = 0; b < blanks; ++b) {
+    calibration.curve.add_blank(response(b));
+  }
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    calibration.curve.add_point(levels[i], response(blanks + i));
+  }
   calibration.quantifier = Quantifier(calibration.curve, config_.quantifier);
   return calibration;
 }
@@ -195,34 +203,20 @@ Calibration CalibrationStore::recalibrate(bio::TargetId target,
 }
 
 const bio::Probe& CalibrationStore::prototype(bio::TargetId target) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = prototypes_.find(target);
-    if (it != prototypes_.end()) return *it->second;
-  }
-  // Build outside the lock (the probe's own calibration is thousands of
-  // physics steps); concurrent builders construct identical probes and the
-  // first insert wins, as in entry().
-  bio::ProbePtr built = make_campaign_probe(config_, target);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return *prototypes_.try_emplace(target, std::move(built)).first->second;
+  // The probe's own calibration is thousands of physics steps: built once,
+  // and concurrent callers wait for it.
+  return *prototypes_
+              .get(target, [&] { return make_campaign_probe(config_, target); })
+              .first;
 }
 
 const CalibrationStore::Entry& CalibrationStore::entry(
     bio::TargetId target, const sim::ChannelProtocol& protocol) {
-  const Key key{target, protocol_key(protocol)};
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return *it->second;
-  }
-  // Build outside the lock (campaigns are seconds of simulated chemistry).
-  // A concurrent builder of the same key produces a bitwise identical
-  // entry; the first insert wins and the duplicate is discarded.
-  auto built = std::make_unique<Entry>(build_entry(target, protocol));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = cache_.try_emplace(key, std::move(built));
-  return *it->second;
+  // Campaigns are seconds of simulated chemistry: each key runs one.
+  return cache_
+      .get(Key{target, protocol_key(protocol)},
+           [&] { return build_entry(target, protocol); })
+      .first;
 }
 
 const Quantifier& CalibrationStore::quantifier(bio::TargetId target) {
@@ -258,9 +252,6 @@ void CalibrationStore::prepare(std::span<const bio::TargetId> targets,
   });
 }
 
-std::size_t CalibrationStore::cached_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size();
-}
+std::size_t CalibrationStore::cached_count() const { return cache_.size(); }
 
 }  // namespace idp::quant

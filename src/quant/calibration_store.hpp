@@ -13,9 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,6 +23,7 @@
 #include "quant/quantifier.hpp"
 #include "sim/engine.hpp"
 #include "sim/protocol.hpp"
+#include "util/single_flight.hpp"
 
 namespace idp::quant {
 
@@ -82,9 +80,9 @@ struct Calibration {
 
 /// Builds and caches calibration curves + quantifiers per
 /// (target, protocol), and one calibrated prototype probe per target.
-/// Thread-safe: lookups lock briefly; probe builds and campaign runs
-/// execute outside the lock, and concurrent builders of the same key agree
-/// bitwise (first insert wins). Cached entries have stable addresses.
+/// Thread-safe and single-flight (util::SingleFlightMap): each key is built
+/// once, outside the lock, and concurrent callers of a key under
+/// construction wait for that build. Cached entries have stable addresses.
 class CalibrationStore {
  public:
   /// Run-id block size of one campaign: cached campaigns own block
@@ -121,7 +119,7 @@ class CalibrationStore {
   /// measurement path -- campaigns, recalibrations, service requests,
   /// cohort scans -- measures a Probe::clone() of it: bitwise what a fresh
   /// build would measure, without re-running the probe's numeric
-  /// calibration. Thread-safe: first insert wins, stable address.
+  /// calibration. Thread-safe: built once, stable address.
   const bio::Probe& prototype(bio::TargetId target) const;
 
   /// Run a *recalibration* campaign: the same blanks + sweep as a cached
@@ -144,8 +142,9 @@ class CalibrationStore {
   using Entry = Calibration;
   using Key = std::pair<bio::TargetId, std::string>;
 
-  /// Shared campaign core: blanks + concentration sweep through one clone
-  /// of the target's prototype and one front end, fitted and inverted.
+  /// Shared campaign core: blanks + concentration sweep as one executor
+  /// batch on one front end (one prototype clone per probe state), fitted
+  /// and inverted.
   Calibration build_calibration(bio::TargetId target,
                                 const sim::ChannelProtocol& protocol,
                                 const fault::SensorState& sensor,
@@ -158,10 +157,9 @@ class CalibrationStore {
                      const sim::ChannelProtocol& protocol);
 
   CampaignConfig config_;
-  sim::MeasurementEngine engine_;  ///< used through const _seeded calls only
-  mutable std::mutex mutex_;  ///< guards cache_ and prototypes_
-  std::map<Key, std::unique_ptr<Entry>> cache_;
-  mutable std::map<bio::TargetId, bio::ProbePtr> prototypes_;
+  sim::MeasurementEngine engine_;  ///< used through const calls only
+  util::SingleFlightMap<Key, Entry> cache_;
+  mutable util::SingleFlightMap<bio::TargetId, bio::ProbePtr> prototypes_;
 };
 
 }  // namespace idp::quant

@@ -47,23 +47,6 @@ PercentileBand band_of(std::vector<double>& values) {
   return PercentileBand{ps[0], ps[1], ps[2]};
 }
 
-/// Scalar response of one seeded measurement under either protocol.
-double measure_response(const sim::MeasurementEngine& engine,
-                        std::uint64_t run_id, const sim::Channel& channel,
-                        const sim::ChannelProtocol& protocol,
-                        afe::AnalogFrontEnd& fe, bio::TargetId target) {
-  if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-    const auto& proto = std::get<sim::ChronoamperometryProtocol>(protocol);
-    const sim::Trace trace =
-        engine.run_chronoamperometry_seeded(run_id, channel, proto, fe);
-    return quant::panel_response(target, trace, sim::CvCurve{});
-  }
-  const auto& proto = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-  const sim::CvCurve curve =
-      engine.run_cyclic_voltammetry_seeded(run_id, channel, proto, fe);
-  return quant::panel_response(target, sim::Trace{}, curve);
-}
-
 /// Per-channel monitoring state of one patient's sensor: which calibration
 /// currently inverts the responses, what the QC checks should read, and the
 /// drift statistics accumulated against that expectation.
@@ -275,7 +258,11 @@ CohortReport LongitudinalRunner::run(
     course.patient_id = patient.id;
     course.channels.assign(n_channels, {});
 
+    // Per channel: the scan probe, and with monitoring the QC blank and QC
+    // standard probes, whose bulk never changes.
     std::vector<bio::ProbePtr> probes;
+    std::vector<bio::ProbePtr> blank_probes;
+    std::vector<bio::ProbePtr> standard_probes;
     std::vector<afe::AnalogFrontEnd> frontends;
     std::vector<afe::AnalogFrontEnd> qc_frontends;
     std::vector<ChannelMonitor> monitors(n_channels);
@@ -307,39 +294,70 @@ CohortReport LongitudinalRunner::run(
             policy.qc_fraction *
                 (quantifiers[c]->c_high() - quantifiers[c]->c_low());
         monitor.rebase();
+        const std::string target_name = bio::to_string(plans[c].target);
+        blank_probes.push_back(prototypes[c]->clone());
+        blank_probes.back()->set_bulk_concentration(target_name, 0.0);
+        standard_probes.push_back(prototypes[c]->clone());
+        standard_probes.back()->set_bulk_concentration(
+            target_name, monitor.qc_concentration);
       }
     }
 
+    std::vector<fault::SensorState> sensors(n_channels);
+    std::vector<double> truth(n_channels);
+    std::vector<sim::Measurement> batch;
     for (std::size_t t = 0; t < n_times; ++t) {
       const double time_h = config_.sample_times_h[t];
       const double age_days =
           std::max(0.0, (time_h - config_.sensor_install_h) / 24.0);
+
+      // The timepoint's runs form one executor batch: per channel the QC
+      // blank and standard (on the channel's QC front end, in that order)
+      // and the diagnostic scan. Drift detection, recalibration and
+      // quantification read the responses afterwards, channel by channel;
+      // none of them feeds back into these runs.
+      batch.clear();
+      for (std::size_t c = 0; c < n_channels; ++c) {
+        sensors[c] = config_.degradation.state_at(
+            age_days, fault::SensorSite{patient.id, c});
+        truth[c] = patient.true_concentration_mM(plans[c], c, time_h);
+        if (policy.enabled) {
+          const std::uint64_t qc_base =
+              kQcRunDomain + ((p * n_times + t) * n_channels + c) * 2;
+          batch.push_back({qc_base + 1,
+                           sim::Channel{blank_probes[c].get(), nullptr,
+                                        sensors[c]},
+                           protocols[c], &qc_frontends[c]});
+          batch.push_back({qc_base + 2,
+                           sim::Channel{standard_probes[c].get(), nullptr,
+                                        sensors[c]},
+                           protocols[c], &qc_frontends[c]});
+        }
+        probes[c]->set_bulk_concentration(bio::to_string(plans[c].target),
+                                          truth[c]);
+        batch.push_back({(p * n_times + t) * n_channels + c + 1,
+                         sim::Channel{probes[c].get(), nullptr, sensors[c]},
+                         protocols[c], &frontends[c]});
+      }
+      const std::vector<sim::Readout> readouts = engine.execute(batch);
+      const auto response = [&](std::size_t c, std::size_t i) {
+        return quant::panel_response(plans[c].target, readouts[i].amperogram,
+                                     readouts[i].voltammogram);
+      };
+
+      std::size_t next = 0;  // readout index
       for (std::size_t c = 0; c < n_channels; ++c) {
         ChannelMonitor& monitor = monitors[c];
-        const fault::SensorState sensor = config_.degradation.state_at(
-            age_days, fault::SensorSite{patient.id, c});
-        const sim::Channel channel{probes[c].get(), nullptr, sensor};
-        const std::string target_name = bio::to_string(plans[c].target);
-
         double drift_metric = 0.0;
         double qc_residual = 0.0;
         bool recalibrated_now = false;
         if (policy.enabled) {
           // QC checks through the aged sensor: a blank and the standard,
           // standardised against the active calibration's prediction.
-          const std::uint64_t qc_base =
-              kQcRunDomain + ((p * n_times + t) * n_channels + c) * 2;
-          probes[c]->set_bulk_concentration(target_name, 0.0);
-          const double r_blank =
-              measure_response(engine, qc_base + 1, channel, protocols[c],
-                               qc_frontends[c], plans[c].target);
+          const double r_blank = response(c, next++);
           monitor.detector.observe((r_blank - monitor.expected_blank) /
                                    monitor.sigma);
-          probes[c]->set_bulk_concentration(target_name,
-                                            monitor.qc_concentration);
-          const double r_qc =
-              measure_response(engine, qc_base + 2, channel, protocols[c],
-                               qc_frontends[c], plans[c].target);
+          const double r_qc = response(c, next++);
           qc_residual = (r_qc - monitor.expected_qc) / monitor.sigma;
           monitor.detector.observe(qc_residual);
           drift_metric = monitor.detector.cusum();
@@ -363,7 +381,7 @@ CohortReport LongitudinalRunner::run(
                  monitor.epoch) *
                     quant::CalibrationStore::kRunsPerCampaignBlock;
             monitor.owned = store_.recalibrate(plans[c].target, protocols[c],
-                                               sensor, block);
+                                               sensors[c], block);
             monitor.quantifier = &monitor.owned.quantifier;
             monitor.epoch += 1;
             monitor.last_recal_h = time_h;
@@ -378,18 +396,13 @@ CohortReport LongitudinalRunner::run(
 
         ChannelSample sample;
         sample.time_h = time_h;
-        sample.truth_mM = patient.true_concentration_mM(plans[c], c, time_h);
+        sample.truth_mM = truth[c];
         sample.sensor_age_days = age_days;
         sample.drift_metric = drift_metric;
         sample.qc_residual = qc_residual;
         sample.calibration_epoch = monitor.epoch;
         sample.recalibrated = recalibrated_now;
-        probes[c]->set_bulk_concentration(target_name, sample.truth_mM);
-
-        const std::uint64_t run_id = (p * n_times + t) * n_channels + c + 1;
-        sample.response = measure_response(engine, run_id, channel,
-                                           protocols[c], frontends[c],
-                                           plans[c].target);
+        sample.response = response(c, next++);
         sample.estimate = monitor.quantifier->quantify(sample.response);
         course.channels[c].push_back(sample);
       }

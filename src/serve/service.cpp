@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <variant>
 
 #include "util/error.hpp"
 
@@ -140,57 +139,29 @@ void DiagnosticsService::measure(std::span<PlannedRun> runs) const {
   const std::size_t n = runs.size();
   std::vector<bio::ProbePtr> probes(n);
   std::vector<afe::AnalogFrontEnd> frontends;
-  frontends.reserve(n);  // stable addresses for the lane kernel
-  std::vector<afe::AnalogFrontEnd*> frontend_of(n);
-  std::vector<std::uint64_t> run_ids(n);
-  std::vector<sim::Channel> channels(n);
-  std::vector<sim::ChannelProtocol> protocols(n);
+  frontends.reserve(n);  // stable addresses for the batch
+  std::vector<sim::Measurement> batch(n);
   for (std::size_t i = 0; i < n; ++i) {
     const PlannedRun& run = runs[i];
     probes[i] = prototypes_[run.channel]->clone();
     probes[i]->set_bulk_concentration(
         bio::to_string(config_.panel[run.channel]), run.concentration_mM);
-    frontend_of[i] = &frontends.emplace_back(quant::campaign_frontend_config(
-        store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
-                             run.run_id * kServeSeedStride));
-    run_ids[i] = run.run_id;
-    channels[i] = sim::Channel{
-        probes[i].get(), nullptr,
-        config_.degradation.state_at(
-            run.age_days, fault::SensorSite{run.site, run.channel})};
-    protocols[i] = protocols_[run.channel];
+    afe::AnalogFrontEnd& frontend =
+        frontends.emplace_back(quant::campaign_frontend_config(
+            store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
+                                 run.run_id * kServeSeedStride));
+    batch[i] = sim::Measurement{
+        run.run_id,
+        sim::Channel{probes[i].get(), nullptr,
+                     config_.degradation.state_at(
+                         run.age_days, fault::SensorSite{run.site, run.channel})},
+        protocols_[run.channel], &frontend};
   }
-
-  for (const std::vector<std::size_t>& group :
-       engine_.lane_groups(channels, protocols)) {
-    if (group.size() == 1) {
-      PlannedRun& run = runs[group.front()];
-      const std::size_t i = group.front();
-      const bio::TargetId target_id = config_.panel[run.channel];
-      if (const auto* ca =
-              std::get_if<sim::ChronoamperometryProtocol>(&protocols[i])) {
-        run.response = quant::panel_response(
-            target_id,
-            engine_.run_chronoamperometry_seeded(run.run_id, channels[i], *ca,
-                                                 frontends[i]),
-            sim::CvCurve{});
-      } else {
-        run.response = quant::panel_response(
-            target_id, sim::Trace{},
-            engine_.run_cyclic_voltammetry_seeded(
-                run.run_id, channels[i],
-                std::get<sim::CyclicVoltammetryProtocol>(protocols[i]),
-                frontends[i]));
-      }
-      continue;
-    }
-    const std::vector<sim::Trace> traces = engine_.run_lane_group(
-        group, run_ids, channels, protocols, frontend_of);
-    for (std::size_t l = 0; l < group.size(); ++l) {
-      PlannedRun& run = runs[group[l]];
-      run.response = quant::panel_response(config_.panel[run.channel],
-                                           traces[l], sim::CvCurve{});
-    }
+  const std::vector<sim::Readout> readouts = engine_.execute(batch);
+  for (std::size_t i = 0; i < n; ++i) {
+    runs[i].response = quant::panel_response(config_.panel[runs[i].channel],
+                                             readouts[i].amperogram,
+                                             readouts[i].voltammogram);
   }
 }
 

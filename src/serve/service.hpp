@@ -134,11 +134,10 @@ class DiagnosticsService {
   ///  1. validate every request, then plan: resolve each request's
   ///     session, calibration epoch and run-id lease, and each QC check's
   ///     standard level from its active quantifier;
-  ///  2. measure every planned run of the window: compatible
-  ///     chronoamperometric oxidase runs from any of its requests step in
-  ///     lockstep lane groups (sim::MeasurementEngine::lane_groups, then
-  ///     run_chronoamperometry_lanes), while CV, CYP and direct-probe runs
-  ///     and groups of one take the scalar `_seeded` path;
+  ///  2. measure every planned run of the window as one
+  ///     sim::MeasurementEngine::execute batch: compatible runs from any of
+  ///     its requests step in lockstep lane groups (oxidase reads, CYP
+  ///     sweeps), everything else as groups of one;
   ///  3. quantify each request and emit its telemetry.
   /// Responses come back in window order. Pure in the determinism sense
   /// (see file comment): every response is bitwise identical at any window
@@ -195,9 +194,8 @@ class DiagnosticsService {
     double response = 0.0;  ///< raw scalar panel response
   };
 
-  /// Phase 2 of execute(): run every planned measurement, compatible
-  /// chronoamperometric oxidase runs through the lane kernel in groups of
-  /// up to lane_width(), everything else through the scalar path.
+  /// Phase 2 of execute(): every planned run as one executor batch, each
+  /// on its own probe clone and front end.
   void measure(std::span<PlannedRun> runs) const;
 
   /// Quantify one measured channel against the active calibration.

@@ -1,6 +1,6 @@
 /// \file session_registry.cpp
 /// Sharded session registry implementation: per-shard locking, stable
-/// session addresses and the first-insert-wins warm calibration cache.
+/// session addresses and the single-flight warm calibration cache.
 
 #include "serve/session_registry.hpp"
 
@@ -11,28 +11,12 @@ namespace idp::serve {
 const quant::Calibration& Session::epoch_calibration(
     std::uint32_t channel, std::uint32_t epoch,
     const std::function<quant::Calibration()>& build) {
-  const std::pair<std::uint32_t, std::uint32_t> key{channel, epoch};
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = calibrations_.find(key);
-    if (it != calibrations_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return *it->second;
-    }
-  }
-  // Build outside the lock: a recalibration campaign is seconds of
-  // simulated chemistry. Concurrent builders of the same (channel, epoch)
-  // produce bitwise identical campaigns (the builder is a pure function of
-  // the session identity), so whichever insert lands first wins.
-  auto built = std::make_unique<quant::Calibration>(build());
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = calibrations_.try_emplace(key, std::move(built));
-  if (inserted) {
-    built_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return *it->second;
+  // A recalibration campaign is seconds of simulated chemistry: the first
+  // caller builds it outside the lock, later callers wait for that build.
+  const auto [calibration, built] =
+      calibrations_.get(std::pair{channel, epoch}, build);
+  (built ? built_ : hits_).fetch_add(1, std::memory_order_relaxed);
+  return calibration;
 }
 
 SessionRegistry::SessionRegistry(std::size_t shards) : shards_(shards) {

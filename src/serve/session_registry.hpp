@@ -10,9 +10,11 @@
 /// build -- plus commutative counters (requests served, warm hits). It
 /// deliberately does NOT cache order-dependent state like probe chemistry
 /// or front-end noise streams: those would make a response depend on which
-/// requests ran before it, breaking the replay guarantee. Concurrent
-/// builders of the same (channel, epoch) entry agree bitwise and the first
-/// insert wins -- the same idiom as quant::CalibrationStore.
+/// requests ran before it, breaking the replay guarantee. Each
+/// (channel, epoch) entry is built once: concurrent requests for it wait
+/// for the first builder (util::SingleFlightMap, as in
+/// quant::CalibrationStore), so the campaigns run are a function of the
+/// entries requested, not of the schedule.
 ///
 /// Sharding: sessions are distributed over independently locked shards by
 /// hash_of(key), so thousands of concurrent sessions do not contend on one
@@ -31,6 +33,7 @@
 
 #include "quant/calibration_store.hpp"
 #include "serve/request.hpp"
+#include "util/single_flight.hpp"
 
 namespace idp::serve {
 
@@ -55,9 +58,10 @@ class Session {
 
   /// The warm per-(channel, epoch) recalibration cache. Returns the cached
   /// calibration, building it via `build` outside the session lock when
-  /// missing. `build` must be a pure function of (session, channel, epoch)
-  /// so concurrent builders agree bitwise; the first insert wins and the
-  /// entry's address is stable afterwards.
+  /// missing; concurrent callers of an entry under construction wait for it
+  /// and count as warm hits. `build` must be a pure function of (session,
+  /// channel, epoch). A build that throws leaves the entry unbuilt for the
+  /// next caller. The entry's address is stable afterwards.
   const quant::Calibration& epoch_calibration(
       std::uint32_t channel, std::uint32_t epoch,
       const std::function<quant::Calibration()>& build);
@@ -72,9 +76,8 @@ class Session {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> built_{0};
-  mutable std::mutex mutex_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::unique_ptr<quant::Calibration>>
+  util::SingleFlightMap<std::pair<std::uint32_t, std::uint32_t>,
+                        quant::Calibration>
       calibrations_;
 };
 

@@ -136,7 +136,7 @@ ShardCluster::ShardCluster(quant::CalibrationStore& store,
                            ServiceConfig service, ShardClusterConfig config)
     : config_(config), router_(config.router) {
   // Every shard gets an identically configured service over the shared
-  // store. The store's campaign cache is first-insert-wins with stable
+  // store. The store's campaign cache builds each key once with stable
   // addresses and campaign builds are pure functions of their run-id
   // block, so shards sharing it stay bitwise independent of each other.
   services_.reserve(router_.shard_count());

@@ -36,6 +36,37 @@ struct Channel {
   fault::SensorState sensor{};             ///< condition consulted at scan time
 };
 
+/// One measurement of an executor batch: the run id that seeds its noise,
+/// the channel it measures, the protocol it runs and the front end that
+/// digitises it. Probe and front end are non-owning and may be shared by
+/// several measurements of one batch (a campaign's blanks measure one probe
+/// through one front end).
+struct Measurement {
+  std::uint64_t run_id = 0;
+  Channel channel;
+  ChannelProtocol protocol;
+  afe::AnalogFrontEnd* frontend = nullptr;  ///< non-owning, required
+  /// Timed bulk-concentration changes; a measurement with injections always
+  /// runs as a group of one (the lane kernels keep bulk fixed) and needs a
+  /// probe no other measurement of its batch shares (it leaves the probe at
+  /// the injected bulk).
+  std::span<const InjectionEvent> injections = {};
+};
+
+/// The noise-free faradaic current a run presents to its front end, one
+/// value per ADC sample (sample k at (k + 1) / sample_rate), the charging
+/// current included on sweeps: what the physics pass computes and the
+/// acquisition pass digitises.
+using FaradaicRecord = std::vector<double>;
+
+/// The digitised output of one measurement: the amperogram of a
+/// chronoamperometric run or the voltammogram of a sweep (the other stays
+/// empty).
+struct Readout {
+  Trace amperogram;
+  CvCurve voltammogram;
+};
+
 /// Result of a multiplexed panel scan (Fig. 4 usage).
 struct PanelEntryResult {
   std::string probe_name;
@@ -65,14 +96,14 @@ struct EngineConfig {
   /// Eq. 5 LODs near their Table III values.
   double drift_scale = 1.0;
   double drift_tau = 60.0;     ///< [s]
-  /// Lockstep lane width of the batched SoA kernel: compatible
-  /// chronoamperometric oxidase measurements (node-identical grids, same
-  /// duration and sample rate) -- the channels of one panel scan, or the
-  /// reads of a diagnostics-service request window -- are gathered in
-  /// groups of up to this many and stepped through one structure-of-arrays
-  /// tridiagonal solve. 0 picks the default width (8); 1 disables
+  /// Lockstep lane width of the batched SoA kernels: compatible
+  /// measurements of one executor batch -- chronoamperometric oxidase reads
+  /// with node-identical grids, equal duration and sample rate, or CYP
+  /// sweeps with node-identical drug grids and one shared sweep -- are
+  /// gathered in groups of up to this many and stepped through one
+  /// structure-of-arrays solve. 0 picks the default width (8); 1 disables
   /// batching (the scalar per-measurement path). Results are bitwise
-  /// identical at every width -- the lane-kernel oracle and the `simd`
+  /// identical at every width -- the lane-kernel oracles and the `simd`
   /// determinism-sweep workload pin this.
   std::size_t batch_lanes = 0;
   afe::PotentiostatSpec potentiostat;
@@ -81,14 +112,23 @@ struct EngineConfig {
 
 /// Executes protocols against channels through an analog front end.
 ///
+/// Every measurement runs in two passes. The physics pass steps the probe
+/// under the protocol's potential program and records the noise-free
+/// faradaic current at each ADC sample instant (the charging current
+/// included on sweeps). No noise reaches the physics: the applied potential
+/// depends only on the protocol, the sensor's reference shift and the
+/// noise-free previous current. The acquisition pass then turns that record
+/// into digitised samples: front-end drift, the run's noise streams, the
+/// storm current, the CDS blank and AnalogFrontEnd::sample.
+///
 /// Concurrency model: every measurement derives its noise realisation from
 /// an explicit *run id* (seed = config.seed + run_id * stride). The
 /// convenience overloads draw ids from an internal counter -- the legacy
-/// sequential behaviour -- while the `_seeded` variants take the id from the
-/// caller and are `const`, so independent measurements (distinct probes and
-/// front ends) can execute concurrently on one engine. `reserve_run_ids`
-/// hands out a contiguous id block up front, which keeps batched results
-/// bitwise identical to sequential execution at any parallelism.
+/// sequential behaviour -- while the `_seeded` variants and execute() take
+/// the ids from the caller and are `const`, so independent measurements can
+/// execute concurrently on one engine. `reserve_run_ids` hands out a
+/// contiguous id block up front, which keeps batched results bitwise
+/// identical to sequential execution at any parallelism.
 class MeasurementEngine {
  public:
   explicit MeasurementEngine(EngineConfig config = EngineConfig{});
@@ -106,8 +146,9 @@ class MeasurementEngine {
                                  const CyclicVoltammetryProtocol& protocol,
                                  afe::AnalogFrontEnd& fe);
 
-  /// Explicit-run-id variants (thread-safe w.r.t. the engine: channel,
-  /// probe and front end still belong exclusively to the caller).
+  /// Explicit-run-id variants: a batch of one through execute()
+  /// (thread-safe w.r.t. the engine: channel, probe and front end still
+  /// belong exclusively to the caller).
   Trace run_chronoamperometry_seeded(
       std::uint64_t run_id, Channel channel,
       const ChronoamperometryProtocol& protocol, afe::AnalogFrontEnd& fe,
@@ -117,48 +158,44 @@ class MeasurementEngine {
       const CyclicVoltammetryProtocol& protocol,
       afe::AnalogFrontEnd& fe) const;
 
+  /// The measurement executor, the one path every measurement takes:
+  ///  1. forms lane groups (lane_groups);
+  ///  2. computes each measurement's faradaic record, a group per job over
+  ///     a BatchRunner of `parallelism` workers (0 = hardware concurrency;
+  ///     groups touching a probe that several measurements share run in
+  ///     one job, since the scalar path steps the probe itself);
+  ///  3. acquires every record through its front end, measurements sharing
+  ///     a front end in submission order (distinct front ends in parallel;
+  ///     a front end whose records one job computed is acquired at the end
+  ///     of that job).
+  /// Readout i belongs to batch[i] and is bitwise identical to running the
+  /// batch's measurements one after another through the `_seeded` calls,
+  /// at any lane width and parallelism. Because acquisition keeps program
+  /// order, a campaign's runs on one front end can still share lanes.
+  /// Each measurement's probe has its sensor state applied and is reset;
+  /// a lane group copies the probe state and never steps the probe.
+  std::vector<Readout> execute(std::span<const Measurement> batch,
+                               std::size_t parallelism = 1) const;
+
   /// Lockstep lane width: EngineConfig::batch_lanes, with 0 resolved to the
   /// default width (8).
   std::size_t lane_width() const;
 
-  /// The one lane-grouping rule, shared by run_panel and the diagnostics
-  /// service. Measurement i pairs channels[i] with protocols[i]; compatible
-  /// chronoamperometric oxidase measurements -- node-identical grids
-  /// (bio::OxidaseLaneBatch::compatible) plus equal duration and sample
-  /// rate -- are gathered in index order and chunked to lane_width(). Every
-  /// other measurement (CV, direct and CYP probes, a class of one, or any
-  /// measurement at lane width 1) is a group of one, which callers run
-  /// through the scalar `_seeded` path. A pure function of the inputs.
+  /// The one lane-grouping rule. Two measurements are compatible when both
+  /// are injection-free and either
+  ///  - chronoamperometric on oxidase probes with node-identical grids
+  ///    (bio::OxidaseLaneBatch::compatible), equal duration and sample
+  ///    rate, or
+  ///  - voltammetric on CYP probes with node-identical drug grids
+  ///    (bio::CypLaneBatch::compatible), equal e_start, e_vertex,
+  ///    scan_rate, cycles and sample rate.
+  /// Each compatibility class, in index order, is chunked to a group width
+  /// of lane_width() at parallelism 1, and of ceil(class size / workers)
+  /// capped at lane_width() with more workers (0 = hardware concurrency),
+  /// so a class spreads over the threads before it widens. Every other
+  /// measurement is a group of one. A pure function of the inputs.
   std::vector<std::vector<std::size_t>> lane_groups(
-      std::span<const Channel> channels,
-      std::span<const ChannelProtocol> protocols) const;
-
-  /// Step compatible chronoamperometric oxidase measurements in lockstep
-  /// through one structure-of-arrays solve (bio::OxidaseLaneBatch). Lane l
-  /// keeps its own run id (noise seed), applied potential, front end and
-  /// sensor state, and its trace is bitwise identical to
-  /// run_chronoamperometry_seeded(run_ids[l], channels[l], protocols[l],
-  /// *frontends[l]) -- at any width, lane order or mix of targets.
-  /// Requires oxidase probes with node-identical grids and one shared
-  /// duration and sample rate; no injections. Thread-safe like the other
-  /// `_seeded` calls.
-  std::vector<Trace> run_chronoamperometry_lanes(
-      std::span<const std::uint64_t> run_ids,
-      std::span<const Channel> channels,
-      std::span<const ChronoamperometryProtocol> protocols,
-      std::span<afe::AnalogFrontEnd* const> frontends) const;
-
-  /// Run one lane_groups() group of a measurement set through
-  /// run_chronoamperometry_lanes: lane l is measurement group[l] of the
-  /// full-index spans (its run id, channel, chronoamperometric protocol and
-  /// front end). Returns the traces in group order. The one gather behind
-  /// run_panel's and the diagnostics service's lane groups.
-  std::vector<Trace> run_lane_group(
-      std::span<const std::size_t> group,
-      std::span<const std::uint64_t> run_ids,
-      std::span<const Channel> channels,
-      std::span<const ChannelProtocol> protocols,
-      std::span<afe::AnalogFrontEnd* const> frontends) const;
+      std::span<const Measurement> batch, std::size_t parallelism = 1) const;
 
   /// Reserve `n` consecutive run ids; returns the pre-reservation counter
   /// value, so the reserved ids are base+1 .. base+n -- exactly what the
@@ -170,9 +207,10 @@ class MeasurementEngine {
   /// (oxidase- and CYP-grade readouts coexist on one platform); mux settling
   /// time is inserted between channels and the charge-injection artifact
   /// corrupts the first samples after each switch. The scan timeline and all
-  /// run ids are scheduled up front, so with `parallelism` > 1 the channel
-  /// measurements execute concurrently with results bitwise identical to the
-  /// sequential scan (parallelism 0 means hardware concurrency).
+  /// run ids are scheduled up front and the channels run as one execute()
+  /// batch, so with `parallelism` > 1 the channel measurements execute
+  /// concurrently with results bitwise identical to the sequential scan
+  /// (parallelism 0 means hardware concurrency).
   PanelScanResult run_panel(std::span<const Channel> channels,
                             std::span<const ChannelProtocol> protocols,
                             std::span<afe::AnalogFrontEnd* const> frontends,
@@ -181,31 +219,12 @@ class MeasurementEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  struct NoiseState;
-  /// Precomputed panel-scan timeline of one channel.
-  struct PanelSlot {
-    double t_switch = 0.0;  ///< mux switch instant seen by the artifact model
-    double t_start = 0.0;   ///< first chemistry step (after settling)
-    double t_stop = 0.0;    ///< end of the channel's protocol
-  };
-
-  PanelEntryResult run_panel_entry(std::uint64_t run_id, Channel channel,
-                                   const ChannelProtocol& protocol,
-                                   afe::AnalogFrontEnd& fe,
-                                   const afe::AnalogMux& mux,
-                                   const PanelSlot& slot) const;
-
-  /// Run one lane group of a panel through run_lane_group and fold each
-  /// lane's mux artifact in; fills entries[c] for every c in `group`,
-  /// bitwise identical to run_panel_entry with run id run_ids[c].
-  void run_panel_lane_group(std::span<const std::size_t> group,
-                            std::span<const std::uint64_t> run_ids,
-                            std::span<const Channel> channels,
-                            std::span<const ChannelProtocol> protocols,
-                            std::span<afe::AnalogFrontEnd* const> frontends,
-                            const afe::AnalogMux& mux,
-                            std::span<const PanelSlot> slots,
-                            std::span<PanelEntryResult> entries) const;
+  /// Physics pass of one lane group: fills records[i] for every i in it.
+  void compute_records(std::span<const Measurement> batch,
+                       std::span<const std::size_t> group,
+                       std::span<FaradaicRecord> records) const;
+  /// Acquisition pass of one measurement.
+  Readout acquire(const Measurement& m, const FaradaicRecord& record) const;
 
   EngineConfig config_;
   std::uint64_t run_counter_ = 0;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "chem/batched_diffusion.hpp"
 
 namespace idp::chem {
 namespace {
@@ -107,6 +110,26 @@ TEST(Diffusion, RejectsBadInputs) {
   EXPECT_THROW(f.set_electrode_rate(-1.0), std::invalid_argument);
   std::vector<double> bad(3, 0.0);
   EXPECT_THROW(f.set_source(bad), std::invalid_argument);
+}
+
+TEST(Diffusion, RejectsNonFiniteOrNonPositiveDiffusivityScales) {
+  // An infinite scale used to pass the > 0 check and surface steps later as
+  // a singular tridiagonal system; both fields now reject it at the input.
+  const Grid1D g = Grid1D::uniform(10e-6, 5);
+  DiffusionField f(g, kD, 0.0);
+  BatchedDiffusionField batch(g, 2);
+  batch.configure_lane(0, kD, 0.0);
+  batch.configure_lane(1, kD, 0.0);
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(), 0.0,
+                             -0.5}) {
+    EXPECT_THROW(f.set_diffusivity_scale(scale), std::invalid_argument)
+        << scale;
+    EXPECT_THROW(batch.set_diffusivity_scale(1, scale), std::invalid_argument)
+        << scale;
+  }
+  EXPECT_EQ(f.diffusivity_scale(), 1.0);
+  EXPECT_EQ(batch.diffusivity_scale(1), 1.0);
 }
 
 /// Property: total mass in a sealed system is conserved for any dt.

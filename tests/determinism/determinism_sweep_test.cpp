@@ -83,9 +83,10 @@ std::uint64_t panel_digest(std::uint64_t seed, std::size_t parallelism) {
 }
 
 std::uint64_t simd_digest(std::uint64_t seed, std::size_t parallelism) {
-  // The batched-SoA acceptance criterion: one mixed panel -- five oxidase
-  // chronoamperometry channels the engine gathers into lockstep lane
-  // groups, plus a cholesterol CYP sweep that stays scalar -- scanned at
+  // The batched-SoA acceptance criterion: one mixed panel filling the
+  // mux's eight channels -- five oxidase chronoamperometry channels and
+  // three CYP sweeps (cholesterol, clozapine and the two-target CYP2B4
+  // film) the engine gathers into lockstep lane groups -- scanned at
   // lane widths 1 / 2 / 4 / auto(hw); all four scans must digest
   // bitwise-identically at every seed and parallelism level. Width 1 *is*
   // the pre-batching scalar path, so this pins the batched kernel to the
@@ -105,9 +106,16 @@ std::uint64_t simd_digest(std::uint64_t seed, std::size_t parallelism) {
       }
       probes.push_back(bio::make_probe(bio::TargetId::kCholesterol));
       probes.back()->set_bulk_concentration("cholesterol", 0.045);
+      probes.push_back(bio::make_probe(bio::TargetId::kClozapine));
+      probes.back()->set_bulk_concentration("clozapine", 0.3);
+      const bio::TargetId cyp2b4[] = {bio::TargetId::kBenzphetamine,
+                                      bio::TargetId::kAminopyrine};
+      probes.push_back(bio::make_cyp_probe(cyp2b4));
+      probes.back()->set_bulk_concentration("benzphetamine", 0.5);
+      probes.back()->set_bulk_concentration("aminopyrine", 2.0);
     }
   };
-  // Calibrating six probes dominates the workload's cost; they are safely
+  // Calibrating eight probes dominates the workload's cost; they are safely
   // shared across scans because every measurement re-applies sensor state
   // and resets the concentration profiles.
   static Panel panel;
@@ -133,7 +141,8 @@ std::uint64_t simd_digest(std::uint64_t seed, std::size_t parallelism) {
       fes.push_back(std::make_unique<afe::AnalogFrontEnd>(fe_config));
       frontends.push_back(fes.back().get());
       channels.push_back(sim::Channel{panel.probes[c].get(), nullptr});
-      if (c + 1 < panel.probes.size()) {
+      if (panel.probes[c]->technique() ==
+          bio::Technique::kChronoamperometry) {
         protocols.emplace_back(ca);
       } else {
         protocols.emplace_back(cv);

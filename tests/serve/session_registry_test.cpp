@@ -1,13 +1,16 @@
 /// \file session_registry_test.cpp
 /// Sharded session registry: stable addresses, shard distribution,
-/// concurrent get_or_create convergence and the first-insert-wins warm
-/// calibration cache.
+/// concurrent get_or_create convergence and the single-flight warm
+/// calibration cache (one build per entry, failed builds retried).
 
 #include "serve/session_registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -92,23 +95,50 @@ TEST(Session, EpochCalibrationCachesFirstInsert) {
   EXPECT_EQ(builds.load(), 2);
 }
 
-TEST(Session, ConcurrentEpochBuildersAgreeOnOneEntry) {
+TEST(Session, ConcurrentEpochRequestsRunOneBuild) {
+  // Eight threads released together on one (channel, epoch): the first
+  // builds, the other seven wait for that build and count as warm hits, so
+  // the campaigns run never depend on the schedule.
   SessionRegistry registry(2);
   Session& session = registry.get_or_create(SessionKey{0, 6, 0});
-  std::vector<const quant::Calibration*> seen(6, nullptr);
+  std::vector<const quant::Calibration*> seen(8, nullptr);
+  std::atomic<int> builds{0};
+  std::latch start(static_cast<std::ptrdiff_t>(seen.size()));
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < seen.size(); ++t) {
     threads.emplace_back([&, t] {
-      seen[t] = &session.epoch_calibration(
-          2, 3, [] { return quant::Calibration{}; });
+      start.arrive_and_wait();
+      seen[t] = &session.epoch_calibration(2, 3, [&] {
+        ++builds;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return quant::Calibration{};
+      });
     });
   }
   for (std::thread& t : threads) t.join();
   for (const quant::Calibration* c : seen) EXPECT_EQ(c, seen[0]);
-  // Redundant builds may have happened, but exactly one insert won and
-  // every other call was accounted a warm hit.
+  EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(session.calibrations_built(), 1u);
-  EXPECT_EQ(session.warm_hits(), seen.size() - 1);
+  EXPECT_EQ(session.warm_hits(), 7u);
+}
+
+TEST(Session, AFailedEpochBuildIsRetried) {
+  SessionRegistry registry(2);
+  Session& session = registry.get_or_create(SessionKey{0, 7, 0});
+  EXPECT_THROW(session.epoch_calibration(
+                   0, 1,
+                   []() -> quant::Calibration {
+                     throw std::runtime_error("campaign failed");
+                   }),
+               std::runtime_error);
+  int builds = 0;
+  session.epoch_calibration(0, 1, [&] {
+    ++builds;
+    return quant::Calibration{};
+  });
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(session.calibrations_built(), 1u);
+  EXPECT_EQ(session.warm_hits(), 0u);
 }
 
 TEST(SessionRegistry, StatsAggregateAcrossShards) {
