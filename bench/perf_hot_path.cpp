@@ -130,8 +130,9 @@ BENCHMARK(BM_SingleChannelCV);
 
 /// Eight CYP sweeps of one lane class (clozapine films at eight
 /// concentrations, each on its own front end) as one executor batch at
-/// parallelism 1. lanes=1 is the scalar path; lanes=3 is a cohort
-/// timepoint's QC blank + standard + scan, lanes=8 a campaign's blanks.
+/// parallelism 1. lanes=1 is the scalar path; lanes=3 is one timepoint's
+/// QC blank + standard + scan, lanes=8 a cohort window's group (a window
+/// of eight timepoints steps its sweeps three 8-wide groups at a time).
 /// Items are runs, so items_per_second compares widths per run.
 void BM_CvLanes(benchmark::State& state) {
   static const std::vector<bio::ProbePtr> probes = [] {

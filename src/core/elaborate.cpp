@@ -9,7 +9,7 @@
 #include <map>
 
 #include "core/constraints.hpp"
-#include "dsp/peaks.hpp"
+#include "quant/calibration_store.hpp"
 #include "sim/batch.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -134,19 +134,6 @@ std::size_t ElaboratedPlatform::electrode_of(bio::TargetId target) const {
   throw std::invalid_argument("target " + name + " not on this platform");
 }
 
-double ElaboratedPlatform::response_of(bio::TargetId target,
-                                       std::size_t electrode_index,
-                                       const sim::Trace& ca,
-                                       const sim::CvCurve& cv) const {
-  (void)electrode_index;
-  if (!ca.empty()) {
-    const double t_end = ca.time().back();
-    return ca.mean_in_window(0.8 * t_end, t_end);
-  }
-  return dsp::reduction_response_at(cv, bio::spec(target).operating_potential,
-                                    0.05);
-}
-
 std::size_t ElaboratedPlatform::calibration_run_count(
     std::size_t n_points) const {
   return static_cast<std::size_t>(std::max(options_.blank_measurements, 0)) +
@@ -190,8 +177,8 @@ dsp::CalibrationCurve ElaboratedPlatform::calibrate_seeded(
   }
   const std::vector<sim::Readout> readouts = engine_.execute(batch);
   const auto response = [&](std::size_t i) {
-    return response_of(target, e, readouts[i].amperogram,
-                       readouts[i].voltammogram);
+    return quant::panel_response(target, readouts[i].amperogram,
+                                 readouts[i].voltammogram);
   };
 
   dsp::CalibrationCurve curve;

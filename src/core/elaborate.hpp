@@ -90,9 +90,6 @@ class ElaboratedPlatform {
     sim::ChannelProtocol protocol;
   };
 
-  double response_of(bio::TargetId target, std::size_t electrode_index,
-                     const sim::Trace& ca, const sim::CvCurve& cv) const;
-
   /// Number of engine runs one calibration consumes (blanks + points).
   std::size_t calibration_run_count(std::size_t n_points) const;
 

@@ -220,6 +220,9 @@ CohortReport LongitudinalRunner::run(
   const std::size_t n_channels = plans.size();
   const std::size_t n_times = config_.sample_times_h.size();
   const quant::RecalibrationPolicy& policy = config_.recalibration;
+  // Recalibration run-id blocks per (patient, channel): one per epoch.
+  const std::uint64_t epochs_per_channel =
+      static_cast<std::uint64_t>(policy.max_recalibrations) + 1;
 
   // Calibrate (or fetch) every channel up front -- outside the patient
   // fan-out, so runs never contend on campaign construction -- and keep
@@ -246,6 +249,13 @@ CohortReport LongitudinalRunner::run(
   report.sample_times_h = config_.sample_times_h;
   report.patients.resize(cohort.size());
 
+  // A window of this many timepoints is one executor batch, so each lane
+  // class of a window fills whole lane groups.
+  const std::size_t window = std::min(engine.lane_width(), n_times);
+  const auto age_days_at = [&](double time_h) {
+    return std::max(0.0, (time_h - config_.sensor_install_h) / 24.0);
+  };
+
   // One job per patient: each owns its probes (clones of the pristine
   // prototypes), front ends and monitoring state, its timeline runs in
   // order, and every measurement's noise derives from the global (patient,
@@ -258,19 +268,21 @@ CohortReport LongitudinalRunner::run(
     course.patient_id = patient.id;
     course.channels.assign(n_channels, {});
 
-    // Per channel: the scan probe, and with monitoring the QC blank and QC
+    // Per channel: one scan probe per window slot (slot k measures the
+    // window's k-th timepoint), and with monitoring the QC blank and QC
     // standard probes, whose bulk never changes.
-    std::vector<bio::ProbePtr> probes;
+    std::vector<std::vector<bio::ProbePtr>> probes(n_channels);
     std::vector<bio::ProbePtr> blank_probes;
     std::vector<bio::ProbePtr> standard_probes;
     std::vector<afe::AnalogFrontEnd> frontends;
     std::vector<afe::AnalogFrontEnd> qc_frontends;
     std::vector<ChannelMonitor> monitors(n_channels);
-    probes.reserve(n_channels);
     frontends.reserve(n_channels);
     if (policy.enabled) qc_frontends.reserve(n_channels);
     for (std::size_t c = 0; c < n_channels; ++c) {
-      probes.push_back(prototypes[c]->clone());
+      for (std::size_t k = 0; k < window; ++k) {
+        probes[c].push_back(prototypes[c]->clone());
+      }
       frontends.emplace_back(quant::campaign_frontend_config(
           campaign,
           config_.engine_seed + kFrontEndSeedDomain +
@@ -303,41 +315,48 @@ CohortReport LongitudinalRunner::run(
       }
     }
 
-    std::vector<fault::SensorState> sensors(n_channels);
-    std::vector<double> truth(n_channels);
+    // [slot * n_channels + c] of the current window.
+    std::vector<fault::SensorState> sensors(window * n_channels);
+    std::vector<double> truth(window * n_channels);
     std::vector<sim::Measurement> batch;
-    for (std::size_t t = 0; t < n_times; ++t) {
-      const double time_h = config_.sample_times_h[t];
-      const double age_days =
-          std::max(0.0, (time_h - config_.sensor_install_h) / 24.0);
+    for (std::size_t t0 = 0; t0 < n_times; t0 += window) {
+      const std::size_t slots = std::min(window, n_times - t0);
 
-      // The timepoint's runs form one executor batch: per channel the QC
-      // blank and standard (on the channel's QC front end, in that order)
-      // and the diagnostic scan. Drift detection, recalibration and
-      // quantification read the responses afterwards, channel by channel;
-      // none of them feeds back into these runs.
+      // The window's runs form one executor batch: per timepoint and
+      // channel the QC blank and standard (on the channel's QC front end,
+      // in that order) and the diagnostic scan. Drift detection,
+      // recalibration and quantification read the responses afterwards,
+      // timepoint by timepoint and channel by channel; none of them feeds
+      // back into these runs, and each front end still digitises its runs
+      // in timeline order.
       batch.clear();
-      for (std::size_t c = 0; c < n_channels; ++c) {
-        sensors[c] = config_.degradation.state_at(
-            age_days, fault::SensorSite{patient.id, c});
-        truth[c] = patient.true_concentration_mM(plans[c], c, time_h);
-        if (policy.enabled) {
-          const std::uint64_t qc_base =
-              kQcRunDomain + ((p * n_times + t) * n_channels + c) * 2;
-          batch.push_back({qc_base + 1,
-                           sim::Channel{blank_probes[c].get(), nullptr,
-                                        sensors[c]},
-                           protocols[c], &qc_frontends[c]});
-          batch.push_back({qc_base + 2,
-                           sim::Channel{standard_probes[c].get(), nullptr,
-                                        sensors[c]},
-                           protocols[c], &qc_frontends[c]});
+      for (std::size_t k = 0; k < slots; ++k) {
+        const std::size_t t = t0 + k;
+        const double time_h = config_.sample_times_h[t];
+        for (std::size_t c = 0; c < n_channels; ++c) {
+          const std::size_t s = k * n_channels + c;
+          sensors[s] = config_.degradation.state_at(
+              age_days_at(time_h), fault::SensorSite{patient.id, c});
+          truth[s] = patient.true_concentration_mM(plans[c], c, time_h);
+          if (policy.enabled) {
+            const std::uint64_t qc_base =
+                kQcRunDomain + ((p * n_times + t) * n_channels + c) * 2;
+            batch.push_back({qc_base + 1,
+                             sim::Channel{blank_probes[c].get(), nullptr,
+                                          sensors[s]},
+                             protocols[c], &qc_frontends[c]});
+            batch.push_back({qc_base + 2,
+                             sim::Channel{standard_probes[c].get(), nullptr,
+                                          sensors[s]},
+                             protocols[c], &qc_frontends[c]});
+          }
+          bio::Probe& probe = *probes[c][k];
+          probe.set_bulk_concentration(bio::to_string(plans[c].target),
+                                       truth[s]);
+          batch.push_back({(p * n_times + t) * n_channels + c + 1,
+                           sim::Channel{&probe, nullptr, sensors[s]},
+                           protocols[c], &frontends[c]});
         }
-        probes[c]->set_bulk_concentration(bio::to_string(plans[c].target),
-                                          truth[c]);
-        batch.push_back({(p * n_times + t) * n_channels + c + 1,
-                         sim::Channel{probes[c].get(), nullptr, sensors[c]},
-                         protocols[c], &frontends[c]});
       }
       const std::vector<sim::Readout> readouts = engine.execute(batch);
       const auto response = [&](std::size_t c, std::size_t i) {
@@ -346,65 +365,68 @@ CohortReport LongitudinalRunner::run(
       };
 
       std::size_t next = 0;  // readout index
-      for (std::size_t c = 0; c < n_channels; ++c) {
-        ChannelMonitor& monitor = monitors[c];
-        double drift_metric = 0.0;
-        double qc_residual = 0.0;
-        bool recalibrated_now = false;
-        if (policy.enabled) {
-          // QC checks through the aged sensor: a blank and the standard,
-          // standardised against the active calibration's prediction.
-          const double r_blank = response(c, next++);
-          monitor.detector.observe((r_blank - monitor.expected_blank) /
-                                   monitor.sigma);
-          const double r_qc = response(c, next++);
-          qc_residual = (r_qc - monitor.expected_qc) / monitor.sigma;
-          monitor.detector.observe(qc_residual);
-          drift_metric = monitor.detector.cusum();
-          const double ewma_now = monitor.detector.ewma();
+      for (std::size_t k = 0; k < slots; ++k) {
+        const double time_h = config_.sample_times_h[t0 + k];
+        const double age_days = age_days_at(time_h);
+        for (std::size_t c = 0; c < n_channels; ++c) {
+          const std::size_t s = k * n_channels + c;
+          ChannelMonitor& monitor = monitors[c];
+          double drift_metric = 0.0;
+          double qc_residual = 0.0;
+          bool recalibrated_now = false;
+          if (policy.enabled) {
+            // QC checks through the aged sensor: a blank and the standard,
+            // standardised against the active calibration's prediction.
+            const double r_blank = response(c, next++);
+            monitor.detector.observe((r_blank - monitor.expected_blank) /
+                                     monitor.sigma);
+            const double r_qc = response(c, next++);
+            qc_residual = (r_qc - monitor.expected_qc) / monitor.sigma;
+            monitor.detector.observe(qc_residual);
+            drift_metric = monitor.detector.cusum();
+            const double ewma_now = monitor.detector.ewma();
 
-          const bool interval_ok =
-              time_h - monitor.last_recal_h >= policy.min_interval_h;
-          const bool budget_ok =
-              monitor.epoch <
-              static_cast<std::uint32_t>(policy.max_recalibrations);
-          if (policy.triggered(monitor.detector) && interval_ok &&
-              budget_ok) {
-            // Field recalibration: rerun the campaign on this sensor in
-            // its *current* state, from a run-id block owned by
-            // (patient, channel, epoch).
-            const std::uint64_t block =
-                kRecalRunDomain +
-                ((p * kMaxAnalytesPerPatient + c) *
-                     (static_cast<std::uint64_t>(policy.max_recalibrations) +
-                      1) +
-                 monitor.epoch) *
-                    quant::CalibrationStore::kRunsPerCampaignBlock;
-            monitor.owned = store_.recalibrate(plans[c].target, protocols[c],
-                                               sensors[c], block);
-            monitor.quantifier = &monitor.owned.quantifier;
-            monitor.epoch += 1;
-            monitor.last_recal_h = time_h;
-            monitor.rebase();
-            monitor.detector.reset();
-            recalibrated_now = true;
-            course.recalibrations.push_back(RecalibrationEvent{
-                patient.id, c, time_h, age_days, drift_metric, ewma_now,
-                monitor.epoch});
+            const bool interval_ok =
+                time_h - monitor.last_recal_h >= policy.min_interval_h;
+            const bool budget_ok =
+                monitor.epoch <
+                static_cast<std::uint32_t>(policy.max_recalibrations);
+            if (policy.triggered(monitor.detector) && interval_ok &&
+                budget_ok) {
+              // Field recalibration: rerun the campaign on this sensor in
+              // its *current* state, from a run-id block owned by
+              // (patient, channel, epoch).
+              const std::uint64_t block =
+                  kRecalRunDomain +
+                  ((p * kMaxAnalytesPerPatient + c) * epochs_per_channel +
+                   monitor.epoch) *
+                      quant::CalibrationStore::kRunsPerCampaignBlock;
+              monitor.owned = store_.recalibrate(
+                  plans[c].target, protocols[c], sensors[s], block);
+              monitor.quantifier = &monitor.owned.quantifier;
+              monitor.epoch += 1;
+              monitor.last_recal_h = time_h;
+              monitor.rebase();
+              monitor.detector.reset();
+              recalibrated_now = true;
+              course.recalibrations.push_back(RecalibrationEvent{
+                  patient.id, c, time_h, age_days, drift_metric, ewma_now,
+                  monitor.epoch});
+            }
           }
-        }
 
-        ChannelSample sample;
-        sample.time_h = time_h;
-        sample.truth_mM = truth[c];
-        sample.sensor_age_days = age_days;
-        sample.drift_metric = drift_metric;
-        sample.qc_residual = qc_residual;
-        sample.calibration_epoch = monitor.epoch;
-        sample.recalibrated = recalibrated_now;
-        sample.response = response(c, next++);
-        sample.estimate = monitor.quantifier->quantify(sample.response);
-        course.channels[c].push_back(sample);
+          ChannelSample sample;
+          sample.time_h = time_h;
+          sample.truth_mM = truth[s];
+          sample.sensor_age_days = age_days;
+          sample.drift_metric = drift_metric;
+          sample.qc_residual = qc_residual;
+          sample.calibration_epoch = monitor.epoch;
+          sample.recalibrated = recalibrated_now;
+          sample.response = response(c, next++);
+          sample.estimate = monitor.quantifier->quantify(sample.response);
+          course.channels[c].push_back(sample);
+        }
       }
     }
     report.patients[p] = std::move(course);

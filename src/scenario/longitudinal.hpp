@@ -151,6 +151,19 @@ struct CohortReport {
 /// provides both the measurement configuration (probes, front ends,
 /// protocols -- scans must measure exactly the way campaigns calibrated)
 /// and the quantifiers that invert the responses.
+///
+/// A patient's timeline runs in windows of MeasurementEngine::lane_width()
+/// timepoints (the last window may be shorter). A window's runs -- per
+/// timepoint and channel the QC blank, the QC standard and the scan, each
+/// scan on its own probe slot -- are one MeasurementEngine::execute batch,
+/// so each lane class fills whole lane groups: the glucose + clozapine
+/// cohort steps three 8-wide groups per technique and window. The
+/// monitoring loop (QC, drift, recalibration, quantification) then reads
+/// the window's responses timepoint by timepoint. Nothing it decides feeds
+/// back into a window's runs: sensor states come from the degradation
+/// model, bulks from the patient's PK, the QC standard from the factory
+/// calibration, and a recalibration measures its own probes on its own
+/// front end. So where the windows fall moves no output bit.
 class LongitudinalRunner {
  public:
   LongitudinalRunner(quant::CalibrationStore& store, LongitudinalConfig config);

@@ -103,10 +103,6 @@ struct Program {
     sample_rate = cv.sample_rate;
   }
 
-  /// Programmed potential at time t.
-  double setpoint(double t) const {
-    return sweep ? sweep->value(t) : potential;
-  }
   /// Samples the protocol takes (the trace's reserve).
   std::size_t sample_count() const {
     return static_cast<std::size_t>(std::ceil(duration * sample_rate)) + 1;
@@ -166,9 +162,12 @@ template <std::size_t N, typename T>
 using LaneArray = std::conditional_t<N == 0, std::vector<T>, std::array<T, N>>;
 
 /// The physics pass of one lane group: every lane shares the step count and
-/// sampling clock, and keeps its own potential program, iR feedback,
-/// reference shift and charging current. Appends each lane's noise-free
-/// current at every ADC sample instant to records[l].
+/// sampling clock, and keeps its own iR feedback, reference shift and
+/// charging current. Chronoamperometric lanes keep their own setpoints;
+/// voltammetric lanes share one sweep (lane_compatible requires equal
+/// e_start, e_vertex, scan_rate and cycles), evaluated once per step.
+/// Appends each lane's noise-free current at every ADC sample instant to
+/// records[l].
 template <std::size_t N, typename Stepper>
 void step_lanes(const EngineConfig& config,
                 std::span<const Measurement* const> lanes, Stepper& stepper,
@@ -198,6 +197,10 @@ void step_lanes(const EngineConfig& config,
                    [](const auto& a, const auto& b) { return a.time < b.time; });
   std::size_t next_injection = 0;
 
+  const afe::TriangleWaveform* sweep =
+      programs[0].sweep ? &*programs[0].sweep : nullptr;
+  const bool charges = std::any_of(charging.begin(), charging.end(),
+                                   [](const auto* e) { return e != nullptr; });
   const afe::Potentiostat pstat(config.potentiostat);
   SamplingClock clock(programs[0].sample_rate);
   const double dt = config.chem_dt;
@@ -213,20 +216,25 @@ void step_lanes(const EngineConfig& config,
     }
     // Reference-electrode drift: the interface sees a shifted potential
     // while the instrument still believes the programmed one.
+    const double e_sweep = sweep != nullptr ? sweep->value(t) : 0.0;
     for (std::size_t l = 0; l < w; ++l) {
-      e_applied[l] = pstat.applied_potential(programs[l].setpoint(t),
-                                             i_prev[l], config.cell_impedance) +
-                     shift[l];
+      e_applied[l] =
+          pstat.applied_potential(sweep != nullptr ? e_sweep
+                                                   : programs[l].potential,
+                                  i_prev[l], config.cell_impedance) +
+          shift[l];
     }
     stepper.step(e_applied, dt, current);
-    for (std::size_t l = 0; l < w; ++l) {
-      if (charging[l] != nullptr) {
-        const afe::TriangleWaveform& sweep = *programs[l].sweep;
-        current[l] += charging[l]->charging_current(
-            sweep.scan_rate() * static_cast<double>(sweep.direction(t)));
+    if (charges) {
+      const double scan_rate =
+          sweep->scan_rate() * static_cast<double>(sweep->direction(t));
+      for (std::size_t l = 0; l < w; ++l) {
+        if (charging[l] != nullptr) {
+          current[l] += charging[l]->charging_current(scan_rate);
+        }
       }
-      i_prev[l] = current[l];
     }
+    for (std::size_t l = 0; l < w; ++l) i_prev[l] = current[l];
     if (clock.due(t + dt)) {
       for (std::size_t l = 0; l < w; ++l) records[l]->push_back(current[l]);
       clock.advance();

@@ -173,9 +173,24 @@ class MeasurementEngine {
   /// at any lane width and parallelism. Because acquisition keeps program
   /// order, a campaign's runs on one front end can still share lanes.
   /// Each measurement's probe has its sensor state applied and is reset;
-  /// a lane group copies the probe state and never steps the probe.
+  /// a lane group copies the probe state and never steps the probe. Every
+  /// measurement runs under its own Channel::sensor: compute_records
+  /// applies it before a group of one steps the probe, and the lane batches
+  /// read it from the measurement, not from the probe. So one probe may
+  /// serve several measurements of a batch, also several lanes of one
+  /// group at different sensor states (a cohort window's QC blank at each
+  /// day's sensor age).
   std::vector<Readout> execute(std::span<const Measurement> batch,
                                std::size_t parallelism = 1) const;
+
+  /// The physics pass of one lane group (an element of lane_groups):
+  /// fills records[i] for every i in `group`, indexed like `batch`. Applies
+  /// each measurement's sensor state to its probe and resets it; a group of
+  /// one steps the probe, wider groups step a lane batch copied from the
+  /// probes.
+  void compute_records(std::span<const Measurement> batch,
+                       std::span<const std::size_t> group,
+                       std::span<FaradaicRecord> records) const;
 
   /// Lockstep lane width: EngineConfig::batch_lanes, with 0 resolved to the
   /// default width (8).
@@ -219,10 +234,6 @@ class MeasurementEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  /// Physics pass of one lane group: fills records[i] for every i in it.
-  void compute_records(std::span<const Measurement> batch,
-                       std::span<const std::size_t> group,
-                       std::span<FaradaicRecord> records) const;
   /// Acquisition pass of one measurement.
   Readout acquire(const Measurement& m, const FaradaicRecord& record) const;
 

@@ -4,14 +4,18 @@
 ///  - split oracle: the physics pass plus the acquisition pass equal a
 ///    test-side copy of the engine's former fused CA and CV loops, bitwise,
 ///    for every probe family x {pristine, aged, storm} x {CA, CV}, on the
-///    scalar path and in lanes;
+///    scalar path and in lanes; the physics pass alone (compute_records)
+///    equals the current the fused loop digitised, so a change below the
+///    ADC's resolution fails too;
 ///  - lane oracles: every lane of an oxidase CA group and of a CYP CV group
 ///    digests equal to run_*_seeded with the same run id and a freshly
-///    seeded front end, at widths 1..9 in two lane orders; CypLaneBatch
-///    equals CypProbe::step per step;
-///  - executor oracle: campaign- and cohort-shaped batches, whose runs
-///    share front ends, equal the sequential `_seeded` calls in submission
-///    order at lane widths 1..9 and parallelism 1, 2 and hardware;
+///    seeded front end, and its record equals the scalar path's, at widths
+///    1..9 in two lane orders; CypLaneBatch equals CypProbe::step per step;
+///  - executor oracle: campaign- and cohort-window-shaped batches, whose
+///    runs share front ends and probes (a window's QC probes at several
+///    sensor states), equal sequential `_seeded` calls with every run on a
+///    probe of its own, in submission order, at lane widths 1..9 and
+///    parallelism 1, 2 and hardware;
 ///  - the one grouping rule (lane_groups) the executor uses.
 
 #include "sim/engine.hpp"
@@ -20,12 +24,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "afe/waveform.hpp"
@@ -162,6 +168,34 @@ std::uint64_t digest_of(const Readout& r) {
   return d.value();
 }
 
+constexpr std::size_t kSame = std::numeric_limits<std::size_t>::max();
+
+/// First sample at which two faradaic records differ in any bit (the
+/// shorter length when one is a prefix of the other); kSame when they are
+/// bitwise equal. Records hold the current before the ADC, so a sub-LSB
+/// change in the physics shows here although the readout digests miss it.
+std::size_t first_difference(const FaradaicRecord& a, const FaradaicRecord& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k])) {
+      return k;
+    }
+  }
+  return a.size() == b.size() ? kSame : n;
+}
+
+/// The physics pass alone: every measurement's record, computed group by
+/// group as execute() groups the batch at the engine's lane width.
+std::vector<FaradaicRecord> records_of(const MeasurementEngine& engine,
+                                       std::span<const Measurement> batch) {
+  std::vector<FaradaicRecord> records(batch.size());
+  for (const std::vector<std::size_t>& group : engine.lane_groups(batch)) {
+    engine.compute_records(batch, group, records);
+  }
+  return records;
+}
+
 // --- the former fused loops, kept test-side as the split oracle's reference
 
 /// The engine's per-run noise streams, seeded as the engine seeds them.
@@ -187,11 +221,18 @@ struct ReferenceNoise {
   }
 };
 
+/// A fused run's readout and the noise-free current it digitised at each
+/// sample instant.
+struct Fused {
+  Readout readout;
+  FaradaicRecord record;
+};
+
 /// Physics and acquisition interleaved per step, as the engine ran them
 /// before the split: CA when `cv` is null, the CV sweep otherwise.
-Readout fused(const EngineConfig& cfg, std::uint64_t run_id,
-              const Channel& channel, const ChannelProtocol& protocol,
-              afe::AnalogFrontEnd& fe) {
+Fused fused(const EngineConfig& cfg, std::uint64_t run_id,
+            const Channel& channel, const ChannelProtocol& protocol,
+            afe::AnalogFrontEnd& fe) {
   const fault::SensorState& sensor = channel.sensor;
   bio::Probe& probe = *channel.probe;
   probe.apply_sensor_state(sensor);
@@ -208,7 +249,7 @@ Readout fused(const EngineConfig& cfg, std::uint64_t run_id,
   const double duration = cv != nullptr ? wf->duration() : ca->duration;
   const double period = 1.0 / (cv != nullptr ? cv->sample_rate : ca->sample_rate);
   std::size_t samples = 0;
-  Readout out;
+  Fused out;
   const double dt = cfg.chem_dt;
   double i_prev = 0.0;
   const auto n_steps = static_cast<std::size_t>(std::ceil(duration / dt));
@@ -226,6 +267,7 @@ Readout fused(const EngineConfig& cfg, std::uint64_t run_id,
     i_prev = i_true;
     const double next = static_cast<double>(samples + 1) * period;
     if (t + dt >= next) {
+      out.record.push_back(i_true);
       const double drift = noise.step_drift(period);
       const double i_sig =
           i_true + noise.signal_white() + drift + sensor.storm_current_A;
@@ -235,9 +277,10 @@ Readout fused(const EngineConfig& cfg, std::uint64_t run_id,
                              noise.blank_white() + drift +
                              sensor.storm_current_A;
       if (cv != nullptr) {
-        out.voltammogram.push(next, wf->value(next), fe.sample(i_sig, i_blank));
+        out.readout.voltammogram.push(next, wf->value(next),
+                                      fe.sample(i_sig, i_blank));
       } else {
-        out.amperogram.push(next, fe.sample(i_sig, i_blank));
+        out.readout.amperogram.push(next, fe.sample(i_sig, i_blank));
       }
       ++samples;
     }
@@ -262,6 +305,17 @@ RunSpec make_run(const bio::Probe& prototype, double mM,
   return RunSpec{clone_at(prototype, mM), e, sensor, protocol, run_id, run_id};
 }
 
+/// `runs` as a batch without front ends: enough for grouping and records.
+std::vector<Measurement> shape_of(const std::vector<RunSpec>& runs) {
+  std::vector<Measurement> batch;
+  for (const RunSpec& r : runs) {
+    batch.push_back(Measurement{
+        r.run_id, Channel{r.probe.get(), r.electrode, r.sensor}, r.protocol,
+        nullptr});
+  }
+  return batch;
+}
+
 /// Execute `runs` as one batch, each on a fresh front end of its own.
 std::vector<Readout> execute_runs(const MeasurementEngine& engine,
                                   const std::vector<RunSpec>& runs,
@@ -278,7 +332,7 @@ std::vector<Readout> execute_runs(const MeasurementEngine& engine,
   return engine.execute(batch, parallelism);
 }
 
-Readout reference(const EngineConfig& cfg, const RunSpec& r) {
+Fused reference(const EngineConfig& cfg, const RunSpec& r) {
   afe::AnalogFrontEnd fe(frontend_config(r.fe_seed));
   return fused(cfg, r.run_id, Channel{r.probe.get(), r.electrode, r.sensor},
                r.protocol, fe);
@@ -309,7 +363,12 @@ TEST(SplitOracle, RecordPlusAcquisitionEqualsTheFusedLoopsBitwise) {
       }
     }
     std::vector<std::uint64_t> want;
-    for (const RunSpec& r : runs) want.push_back(digest_of(reference(cfg, r)));
+    std::vector<FaradaicRecord> want_records;
+    for (const RunSpec& r : runs) {
+      Fused ref = reference(cfg, r);
+      want.push_back(digest_of(ref.readout));
+      want_records.push_back(std::move(ref.record));
+    }
 
     // Scalar path: one measurement at a time.
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -332,12 +391,7 @@ TEST(SplitOracle, RecordPlusAcquisitionEqualsTheFusedLoopsBitwise) {
 
     // In lanes: the oxidase reads (CA) or the CYP sweeps (CV) form one
     // lane group, the rest stay scalar.
-    std::vector<Measurement> shape;
-    for (const RunSpec& r : runs) {
-      shape.push_back(Measurement{r.run_id, Channel{r.probe.get(), r.electrode,
-                                                    r.sensor},
-                                  r.protocol, nullptr});
-    }
+    const std::vector<Measurement> shape = shape_of(runs);
     std::size_t widest = 0;
     for (const auto& g : engine.lane_groups(shape)) {
       widest = std::max(widest, g.size());
@@ -348,37 +402,68 @@ TEST(SplitOracle, RecordPlusAcquisitionEqualsTheFusedLoopsBitwise) {
       EXPECT_EQ(digest_of(got[i]), want[i])
           << (sweep ? "CV" : "CA") << " run " << i << " (batch)";
     }
+
+    // The physics pass alone, scalar and in lanes, against the current the
+    // fused loop digitised.
+    EngineConfig scalar_cfg = cfg;
+    scalar_cfg.batch_lanes = 1;
+    const MeasurementEngine scalar(scalar_cfg);
+    for (const MeasurementEngine* e : {&scalar, &engine}) {
+      const std::vector<FaradaicRecord> records = records_of(*e, shape);
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(first_difference(records[i], want_records[i]), kSame)
+            << (sweep ? "CV" : "CA") << " run " << i << " record ("
+            << (e == &scalar ? "scalar" : "lanes") << ")";
+      }
+    }
   }
 }
 
+/// What each run of a lane oracle must produce: its readout digest and its
+/// faradaic record.
+struct Expected {
+  std::vector<std::uint64_t> digests;
+  std::vector<FaradaicRecord> records;
+
+  void reverse() {
+    std::reverse(digests.begin(), digests.end());
+    std::reverse(records.begin(), records.end());
+  }
+};
+
 /// Each run alone, through the scalar path.
-std::vector<std::uint64_t> scalar_digests(std::uint64_t seed,
-                                          const std::vector<RunSpec>& runs) {
+Expected scalar_path(std::uint64_t seed, const std::vector<RunSpec>& runs) {
   EngineConfig cfg;
   cfg.seed = seed;
   cfg.batch_lanes = 1;
   const MeasurementEngine engine(cfg);
-  std::vector<std::uint64_t> digests;
+  Expected want;
   for (const Readout& r : execute_runs(engine, runs)) {
-    digests.push_back(digest_of(r));
+    want.digests.push_back(digest_of(r));
   }
-  return digests;
+  want.records = records_of(engine, shape_of(runs));
+  return want;
 }
 
-/// `lanes` as one lane group (lane width = their count) against `want`.
+/// `lanes` as one lane group (lane width = their count) against `want`,
+/// readouts and records.
 void expect_one_group_matches(std::uint64_t seed, std::vector<RunSpec>& lanes,
-                              const std::vector<std::uint64_t>& want,
-                              const char* what) {
+                              const Expected& want, const char* what) {
   EngineConfig cfg;
   cfg.seed = seed;
   cfg.batch_lanes = lanes.size();
   const MeasurementEngine engine(cfg);
   const std::vector<Readout> got = execute_runs(engine, lanes);
+  const std::vector<FaradaicRecord> records =
+      records_of(engine, shape_of(lanes));
   ASSERT_EQ(got.size(), lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    EXPECT_EQ(digest_of(got[l]), want[l])
+    EXPECT_EQ(digest_of(got[l]), want.digests[l])
         << what << " width " << lanes.size() << ", lane " << l << " (run id "
         << lanes[l].run_id << ") diverges from the scalar path";
+    EXPECT_EQ(first_difference(records[l], want.records[l]), kSame)
+        << what << " width " << lanes.size() << ", lane " << l
+        << ": record diverges from the scalar path";
   }
 }
 
@@ -393,10 +478,10 @@ TEST(LaneKernel, EveryOxidaseLaneMatchesTheScalarPathBitwise) {
                                ca_protocol(bio::spec(t).operating_potential),
                                100 * w + l));
     }
-    std::vector<std::uint64_t> want = scalar_digests(777, lanes);
+    Expected want = scalar_path(777, lanes);
     expect_one_group_matches(777, lanes, want, "CA");
     std::reverse(lanes.begin(), lanes.end());
-    std::reverse(want.begin(), want.end());
+    want.reverse();
     expect_one_group_matches(777, lanes, want, "CA reversed");
   }
 }
@@ -414,10 +499,10 @@ TEST(LaneKernel, EveryCypLaneMatchesTheScalarPathBitwise) {
                                cv_protocol(), 300 * w + l,
                                l % 2 == 0 ? &electrode() : nullptr));
     }
-    std::vector<std::uint64_t> want = scalar_digests(991, lanes);
+    Expected want = scalar_path(991, lanes);
     expect_one_group_matches(991, lanes, want, "CV");
     std::reverse(lanes.begin(), lanes.end());
-    std::reverse(want.begin(), want.end());
+    want.reverse();
     expect_one_group_matches(991, lanes, want, "CV reversed");
   }
 }
@@ -496,66 +581,105 @@ TEST(LaneKernel, LaneBatchesRejectIncompatibleOrUnphysicalLanes) {
   }
 }
 
-/// A campaign-shaped batch: `blanks` runs on one zero-bulk probe, then one
-/// run per level on its own clone, all through one front end.
-struct Campaign {
+/// An executor batch with the probes it measures.
+struct OwnedBatch {
   std::vector<bio::ProbePtr> probes;
   std::vector<Measurement> batch;
+
+  bio::Probe* own(bio::ProbePtr probe) {
+    probes.push_back(std::move(probe));
+    return probes.back().get();
+  }
 };
 
-Campaign campaign(const bio::Probe& prototype, const ChannelProtocol& protocol,
-                  const fault::SensorState& sensor, afe::AnalogFrontEnd* fe) {
-  Campaign c;
-  c.probes.push_back(clone_at(prototype, 0.0));
+/// A campaign-shaped batch: six blanks on one zero-bulk probe, then one run
+/// per level on its own clone, all through one front end. With
+/// `private_probes` every blank measures a zero-bulk clone of its own.
+OwnedBatch campaign(const bio::Probe& prototype, const ChannelProtocol& protocol,
+                    const fault::SensorState& sensor, afe::AnalogFrontEnd* fe,
+                    bool private_probes) {
+  OwnedBatch c;
+  bio::Probe* blank = nullptr;
   std::uint64_t id = 4096;
   for (int b = 0; b < 6; ++b) {
-    c.batch.push_back(Measurement{++id, Channel{c.probes[0].get(), nullptr,
-                                                sensor},
-                                  protocol, fe});
+    if (b == 0 || private_probes) blank = c.own(clone_at(prototype, 0.0));
+    c.batch.push_back(
+        Measurement{++id, Channel{blank, nullptr, sensor}, protocol, fe});
   }
   for (const double mM : {0.02, 0.05, 0.1, 0.2, 0.4}) {
-    c.probes.push_back(clone_at(prototype, mM));
     c.batch.push_back(Measurement{
-        ++id, Channel{c.probes.back().get(), nullptr, sensor}, protocol, fe});
+        ++id, Channel{c.own(clone_at(prototype, mM)), nullptr, sensor},
+        protocol, fe});
   }
   return c;
 }
 
-/// A cohort-timepoint-shaped batch over both techniques: per channel a QC
-/// blank and a QC standard on the channel's QC front end, and the scan on
-/// its diagnostic front end.
-struct Timepoint {
-  std::vector<bio::ProbePtr> probes;
-  std::vector<Measurement> batch;
-};
-
-Timepoint timepoint(std::span<afe::AnalogFrontEnd* const> fes) {
-  Timepoint tp;
-  const fault::SensorState sensor = aged();
-  const std::pair<const bio::Probe*, ChannelProtocol> channels[] = {
-      {&oxidase(bio::TargetId::kGlucose), ca_protocol(0.6)},
-      {&cyp(Cyp::kClozapine), cv_protocol()}};
-  std::uint64_t c = 0;
-  for (const auto& [prototype, protocol] : channels) {
-    for (const double mM : {0.0, 0.3, 0.17}) {
-      tp.probes.push_back(clone_at(*prototype, mM));
-      const bool scan = mM == 0.17;
-      tp.batch.push_back(Measurement{
-          scan ? 10 + c : (1ULL << 40) + 2 * c + (mM > 0.0 ? 2 : 1),
-          Channel{tp.probes.back().get(), nullptr, sensor}, protocol,
-          fes[2 * c + (scan ? 1 : 0)]});
-    }
-    ++c;
+/// The sensor on a window's day j: every aging mechanism a little further
+/// along each day, and an interference storm every third day.
+fault::SensorState day(std::size_t j) {
+  const double d = static_cast<double>(j);
+  fault::SensorState s;
+  s.enzyme_activity = 1.0 - 0.02 * d;
+  s.membrane_transmission = 1.0 - 0.04 * d;
+  s.reference_shift_V = -0.4e-3 * d;
+  s.afe_gain = 1.0 + 0.005 * d;
+  s.afe_offset_A = 2.0e-11 * d;
+  if (j % 3 == 2) {
+    s.storm_current_A = 1.0e-9;
+    s.storm_noise_mult = 1.5;
   }
-  return tp;
+  return s;
 }
 
-/// The executor against the sequential `_seeded` calls, in submission
-/// order, on front ends seeded alike; also compares the front ends' states
-/// afterwards (one more sample each).
+/// A cohort-window-shaped batch over `days` timepoints and both
+/// techniques: per day and channel a QC blank and a QC standard on the
+/// channel's QC front end (fes[2c]) and the scan on its diagnostic front
+/// end (fes[2c + 1]), all at that day's sensor state. Laid out as the
+/// cohort lays it out, each channel's QC blank and QC standard measure one
+/// probe each, at every day's state, and every day's scan its own clone.
+/// With `private_probes` every run measures a clone of its own.
+OwnedBatch window(std::span<afe::AnalogFrontEnd* const> fes, std::size_t days,
+                  bool private_probes) {
+  constexpr std::size_t kChannels = 2;
+  const std::pair<const bio::Probe*, ChannelProtocol> channels[kChannels] = {
+      {&oxidase(bio::TargetId::kGlucose), ca_protocol(0.6)},
+      {&cyp(Cyp::kClozapine), cv_protocol()}};
+  constexpr double kStandard_mM = 0.3;
+  OwnedBatch w;
+  bio::Probe* blanks[kChannels] = {};
+  bio::Probe* standards[kChannels] = {};
+  for (std::size_t j = 0; j < days; ++j) {
+    const fault::SensorState sensor = day(j);
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      const auto& [prototype, protocol] = channels[c];
+      if (j == 0 || private_probes) {
+        blanks[c] = w.own(clone_at(*prototype, 0.0));
+        standards[c] = w.own(clone_at(*prototype, kStandard_mM));
+      }
+      const std::uint64_t qc_base = (1ULL << 40) + (j * kChannels + c) * 2;
+      w.batch.push_back(Measurement{
+          qc_base + 1, Channel{blanks[c], nullptr, sensor}, protocol, fes[2 * c]});
+      w.batch.push_back(Measurement{qc_base + 2,
+                                    Channel{standards[c], nullptr, sensor},
+                                    protocol, fes[2 * c]});
+      bio::Probe* scan =
+          w.own(clone_at(*prototype, 0.1 + 0.04 * static_cast<double>(j)));
+      w.batch.push_back(Measurement{j * kChannels + c + 1,
+                                    Channel{scan, nullptr, sensor}, protocol,
+                                    fes[2 * c + 1]});
+    }
+  }
+  return w;
+}
+
+/// The executor against sequential `_seeded` calls in submission order, on
+/// front ends seeded alike: `make(fes, false)` is the batch under test,
+/// `make(fes, true)` the same runs with every run on a probe of its own,
+/// which the reference measures one after another. Also compares the front
+/// ends' states afterwards (one more sample each).
 void expect_batch_matches_sequential(
-    const std::function<std::vector<Measurement>(
-        std::span<afe::AnalogFrontEnd* const>)>& make,
+    const std::function<OwnedBatch(std::span<afe::AnalogFrontEnd* const>,
+                                   bool)>& make,
     std::size_t n_frontends, const char* what) {
   const auto fresh = [&](std::vector<std::unique_ptr<afe::AnalogFrontEnd>>& own) {
     std::vector<afe::AnalogFrontEnd*> fes;
@@ -569,10 +693,10 @@ void expect_batch_matches_sequential(
   cfg.seed = 2718;
   std::vector<std::unique_ptr<afe::AnalogFrontEnd>> ref_own;
   const std::vector<afe::AnalogFrontEnd*> ref_fes = fresh(ref_own);
-  const std::vector<Measurement> ref_batch = make(ref_fes);
+  const OwnedBatch ref = make(ref_fes, true);
   std::vector<std::uint64_t> want;
   const MeasurementEngine sequential(cfg);
-  for (const Measurement& m : ref_batch) {
+  for (const Measurement& m : ref.batch) {
     Readout r;
     if (const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
       r.amperogram = sequential.run_chronoamperometry_seeded(
@@ -593,8 +717,9 @@ void expect_batch_matches_sequential(
       const MeasurementEngine engine(cfg);
       std::vector<std::unique_ptr<afe::AnalogFrontEnd>> own;
       const std::vector<afe::AnalogFrontEnd*> fes = fresh(own);
-      const std::vector<Measurement> batch = make(fes);
-      const std::vector<Readout> got = engine.execute(batch, parallelism);
+      const OwnedBatch under_test = make(fes, false);
+      const std::vector<Readout> got =
+          engine.execute(under_test.batch, parallelism);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(digest_of(got[i]), want[i])
@@ -614,12 +739,10 @@ TEST(Executor, CampaignBatchesMatchSequentialSeededCalls) {
       {&oxidase(bio::TargetId::kGlucose), ca_protocol(0.6)},
       {&cyp(Cyp::kClozapine), cv_protocol()}};
   for (const auto& [prototype, protocol] : cases) {
-    std::vector<bio::ProbePtr> keep;
     expect_batch_matches_sequential(
-        [&](std::span<afe::AnalogFrontEnd* const> fes) {
-          Campaign c = campaign(*prototype, protocol, aged(), fes[0]);
-          for (bio::ProbePtr& p : c.probes) keep.push_back(std::move(p));
-          return c.batch;
+        [&](std::span<afe::AnalogFrontEnd* const> fes, bool private_probes) {
+          return campaign(*prototype, protocol, aged(), fes[0],
+                          private_probes);
         },
         1, std::holds_alternative<ChronoamperometryProtocol>(protocol)
                ? "CA campaign"
@@ -627,15 +750,17 @@ TEST(Executor, CampaignBatchesMatchSequentialSeededCalls) {
   }
 }
 
-TEST(Executor, CohortTimepointBatchesMatchSequentialSeededCalls) {
-  std::vector<bio::ProbePtr> keep;
-  expect_batch_matches_sequential(
-      [&](std::span<afe::AnalogFrontEnd* const> fes) {
-        Timepoint tp = timepoint(fes);
-        for (bio::ProbePtr& p : tp.probes) keep.push_back(std::move(p));
-        return tp.batch;
-      },
-      4, "cohort timepoint");
+TEST(Executor, CohortWindowBatchesMatchSequentialSeededCalls) {
+  // One timepoint, a few, and a full window of the default lane width:
+  // the shared QC probes then fill several lanes of one group, each at
+  // another day's sensor state.
+  for (const std::size_t days : {1, 3, 8}) {
+    expect_batch_matches_sequential(
+        [&](std::span<afe::AnalogFrontEnd* const> fes, bool private_probes) {
+          return window(fes, days, private_probes);
+        },
+        4, ("cohort window of " + std::to_string(days)).c_str());
+  }
 }
 
 TEST(Executor, RejectsAnUnphysicalSensorStateBeforeAcquiring) {
